@@ -22,10 +22,6 @@
  * devices} NxPs at a fixed thread count and reports the scaling
  * curve; aggregate calls/s must be monotonically non-decreasing.
  *
- * Phase 3 replays a submission storm under static placement twice —
- * descriptor batching off, then on — and reports the doorbell-write
- * reduction. Per-call values must be identical in both runs.
- *
  * --workload=sharded (DESIGN.md §15, EXPERIMENTS.md) switches to the
  * NUMA-sharded data-residency study instead: per-device data shards
  * plus host-resident gather regions, swept over words-per-call under
@@ -245,63 +241,6 @@ runScalePoint(unsigned devices, unsigned threads, unsigned batches,
     for (unsigned d = 0; d < devices; ++d)
         r.devCalls.push_back(
             st.get(strfmt("host_to_nxp_calls_dev%u", d)));
-    return r;
-}
-
-/**
- * A submission storm: every thread fires a hot call in the same tick,
- * repeated for several waves without waiting in between, so the
- * host->device rings see back-to-back descriptors. Returns the
- * per-call values plus the doorbell/burst counters — run once with
- * batching off and once with it on, and the values must not differ.
- */
-struct StormResult
-{
-    std::vector<std::uint64_t> values;
-    std::uint64_t doorbells = 0;
-    std::uint64_t bursts = 0;
-    std::uint64_t coalesced = 0;
-    std::uint64_t maxBurst = 0;
-};
-
-StormResult
-runStorm(const Params &p, bool batching)
-{
-    FlickSystem sys(SystemConfig{}
-                        .withDevices(p.devices)
-                        .withPlacement(PlacementKind::staticPlacement)
-                        .withBatching(batching));
-    Program prog;
-    workloads::addPlacementMix(prog, p.devices);
-    Process &proc = sys.load(prog);
-
-    std::vector<Task *> tasks;
-    for (unsigned i = 0; i < p.threads; ++i)
-        tasks.push_back(&sys.spawnThread(proc));
-    sys.submit(proc, CallSpec("mix_hot").withArgs({1, 10})
-                         .onThread(*tasks[0]))
-        .wait();
-
-    StormResult r;
-    unsigned waves = std::max(2u, p.batches / 2);
-    for (unsigned w = 0; w < waves; ++w) {
-        std::vector<CallFuture> futs;
-        for (unsigned i = 0; i < p.threads; ++i) {
-            std::uint64_t slot = w * p.threads + i + 1;
-            futs.push_back(sys.submit(
-                proc, CallSpec("mix_hot").withArgs({slot, p.hotRounds / 4})
-                          .onThread(*tasks[i])));
-        }
-        for (auto &f : futs)
-            f.wait();
-        for (auto &f : futs)
-            r.values.push_back(f.value());
-    }
-    const StatGroup &st = sys.debug().engine().stats();
-    r.doorbells = st.get("doorbell_writes");
-    r.bursts = st.get("batch.bursts");
-    r.coalesced = st.get("batch.coalesced");
-    r.maxBurst = st.get("batch.descs_per_burst_max");
     return r;
 }
 
@@ -652,22 +591,6 @@ main(int argc, char **argv)
             {"Devices", "Calls/s", "per-device calls"}, srows);
     }
 
-    // Phase 3: descriptor batching vs the unbatched protocol.
-    StormResult unbatched = runStorm(p, false);
-    StormResult batched = runStorm(p, true);
-    printTable(
-        strfmt("Descriptor batching: storm of %u threads, static "
-               "placement",
-               p.threads),
-        {"Mode", "doorbell writes", "bursts", "coalesced", "max burst"},
-        {{"unbatched", strfmt("%llu", (unsigned long long)unbatched.doorbells),
-          strfmt("%llu", (unsigned long long)unbatched.bursts),
-          strfmt("%llu", (unsigned long long)unbatched.coalesced), "-"},
-         {"batched", strfmt("%llu", (unsigned long long)batched.doorbells),
-          strfmt("%llu", (unsigned long long)batched.bursts),
-          strfmt("%llu", (unsigned long long)batched.coalesced),
-          strfmt("%llu", (unsigned long long)batched.maxBurst)}});
-
     if (!json.empty()) {
         std::ofstream os(json);
         if (!os) {
@@ -694,12 +617,7 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < scale.size(); ++i)
             os << (i ? "," : "") << "\n    {\"devices\": " << scaleDevs[i]
                << ", \"calls_per_sec\": " << scale[i].callsPerSec << "}";
-        os << "\n  ],\n  \"batching\": {\"doorbells_unbatched\": "
-           << unbatched.doorbells
-           << ", \"doorbells_batched\": " << batched.doorbells
-           << ", \"bursts\": " << batched.bursts
-           << ", \"coalesced\": " << batched.coalesced
-           << ", \"max_burst\": " << batched.maxBurst << "}\n}\n";
+        os << "\n  ]\n}\n";
         std::printf("wrote %s\n", json.c_str());
     }
 
@@ -726,28 +644,6 @@ main(int argc, char **argv)
                          scale[i].callsPerSec);
             ok = false;
         }
-    }
-    if (unbatched.values != batched.values) {
-        std::fprintf(stderr, "FAIL: batching changed call results\n");
-        ok = false;
-    }
-    if (unbatched.bursts != 0 || unbatched.coalesced != 0) {
-        std::fprintf(stderr, "FAIL: batch counters nonzero with "
-                             "batching disabled\n");
-        ok = false;
-    }
-    if (batched.coalesced == 0 || batched.bursts == 0) {
-        std::fprintf(stderr, "FAIL: batching never coalesced "
-                             "descriptors under the storm\n");
-        ok = false;
-    }
-    if (batched.doorbells >= unbatched.doorbells) {
-        std::fprintf(stderr,
-                     "FAIL: batching did not reduce doorbell writes "
-                     "(%llu vs %llu)\n",
-                     (unsigned long long)batched.doorbells,
-                     (unsigned long long)unbatched.doorbells);
-        ok = false;
     }
     return ok ? 0 : 1;
 }

@@ -17,13 +17,21 @@
  *     --journal         print the migration protocol journal
  *     --stats           dump all component statistics at exit
  *     --extra-us=N      inflate each migration round trip by N us
+ *
+ * A malformed command line (an unknown option, a non-numeric, empty or
+ * overflowing number, more than six arguments, no input files) prints
+ * the usage text and exits with status 2.
  */
 
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "flick/system.hh"
@@ -51,6 +59,42 @@ endsWith(const std::string &s, const std::string &suffix)
            s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
+[[noreturn]] void
+usageError(const std::string &problem)
+{
+    std::fprintf(stderr,
+                 "flick_run: %s\n"
+                 "usage: flick_run [options] <file.hx64.s> <file.rv64.s>...\n"
+                 "  --call=SYM      function to run (default: main)\n"
+                 "  --args=A,B,...  up to %u integer arguments (0x hex ok)\n"
+                 "  --trace         stream a disassembled instruction trace\n"
+                 "  --journal       print the migration protocol journal\n"
+                 "  --stats         dump all component statistics at exit\n"
+                 "  --extra-us=N    inflate each migration round trip by N "
+                 "us\n",
+                 problem.c_str(), MigrationDescriptor::maxArgs);
+    std::exit(2);
+}
+
+/** Parse a whole decimal or 0x-prefixed hex number; nullopt on an empty
+ *  string, a sign, trailing junk or overflow. */
+std::optional<std::uint64_t>
+parseNumber(std::string_view text)
+{
+    int base = 10;
+    if (text.size() > 2 && text[0] == '0' &&
+        (text[1] == 'x' || text[1] == 'X')) {
+        base = 16;
+        text.remove_prefix(2);
+    }
+    std::uint64_t value = 0;
+    const char *end = text.data() + text.size();
+    auto [stop, ec] = std::from_chars(text.data(), end, value, base);
+    if (text.empty() || ec != std::errc() || stop != end)
+        return std::nullopt;
+    return value;
+}
+
 } // namespace
 
 int
@@ -67,10 +111,25 @@ main(int argc, char **argv)
         if (arg.rfind("--call=", 0) == 0) {
             call_symbol = arg.substr(7);
         } else if (arg.rfind("--args=", 0) == 0) {
-            std::stringstream ss(arg.substr(7));
-            std::string tok;
-            while (std::getline(ss, tok, ','))
-                args.push_back(std::stoull(tok, nullptr, 0));
+            // Split on every comma, so "1,,2" and a trailing comma yield
+            // empty tokens that parseNumber() rejects.
+            std::string_view list = std::string_view(arg).substr(7);
+            for (;;) {
+                std::size_t comma = list.find(',');
+                std::string_view tok = list.substr(0, comma);
+                auto v = parseNumber(tok);
+                if (!v)
+                    usageError("bad number '" + std::string(tok) +
+                               "' in " + arg);
+                args.push_back(*v);
+                if (comma == std::string_view::npos)
+                    break;
+                list.remove_prefix(comma + 1);
+            }
+            if (args.size() > MigrationDescriptor::maxArgs)
+                usageError("at most " +
+                           std::to_string(MigrationDescriptor::maxArgs) +
+                           " arguments fit in a call");
         } else if (arg == "--trace") {
             trace = true;
         } else if (arg == "--journal") {
@@ -78,15 +137,18 @@ main(int argc, char **argv)
         } else if (arg == "--stats") {
             stats = true;
         } else if (arg.rfind("--extra-us=", 0) == 0) {
-            extra = us(std::stoull(arg.substr(11)));
+            auto v = parseNumber(std::string_view(arg).substr(11));
+            if (!v || *v > maxTick / us(1))
+                usageError("bad microsecond count in " + arg);
+            extra = us(*v);
         } else if (arg.rfind("--", 0) == 0) {
-            fatal("unknown option '%s'", arg.c_str());
+            usageError("unknown option '" + arg + "'");
         } else {
             files.push_back(arg);
         }
     }
     if (files.empty())
-        fatal("usage: flick_run [options] <file.hx64.s> <file.rv64.s>...");
+        usageError("no input files");
 
     FlickSystem sys;
     Program prog;

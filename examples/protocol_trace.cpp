@@ -8,10 +8,8 @@
  * the descriptor DMA (fired only after the host thread is suspended),
  * the NxP pickup, the reverse call, and both returns.
  *
- * This example intentionally sticks to the legacy synchronous API —
- * call() and the loose FlickSystem accessors — to show that it still
- * works unchanged; the other examples use submit()/CallFuture and the
- * debug() harness.
+ * This example uses the synchronous call() API (submit + wait); the
+ * other examples use submit()/CallFuture directly.
  */
 
 #include <cstdio>
@@ -30,7 +28,7 @@ main()
     Process &proc = sys.load(prog);
 
     sys.call(proc, "nxp_noop"); // one-time NxP stack allocation
-    sys.engine().enableJournal();
+    sys.debug().engine().enableJournal();
 
     Tick t0 = sys.now();
     sys.call(proc, "nxp_calls_host", {1});
@@ -54,7 +52,7 @@ main()
         "(f) NxP-to-host return descriptor sent",
         "(g) host resumed with the return value",
     };
-    for (const ProtocolEvent &e : sys.engine().journal()) {
+    for (const ProtocolEvent &e : sys.debug().engine().journal()) {
         std::printf("%10.2f  %-14s  %s\n", ticksToUs(e.when - t0),
                     protocolStepName(e.step),
                     detail[static_cast<int>(e.step)]);

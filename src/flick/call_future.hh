@@ -45,22 +45,18 @@ enum class CallStatus
     deadlineExceeded, //!< SystemConfig::callDeadline expired first.
     deviceLost,       //!< An NxP it depended on was quarantined.
     cancelled,        //!< CallFuture::cancel() tore it down.
-    shedLoad,         //!< Admission control refused it at submit time.
+    shedLoad,         //!< The QoS front door refused it (DESIGN.md §14).
 };
 
 /** Printable status name. */
 const char *callStatusName(CallStatus status);
 
-/**
- * Why a call with status shedLoad was refused (DESIGN.md §14). The
- * legacy per-device admission cap reports queueFull (the fabric's
- * rings are the queue that is full); the QoS front door distinguishes
- * all three.
- */
+/** Why the QoS front door refused a call with status shedLoad
+ *  (DESIGN.md §14). */
 enum class ShedReason
 {
     none,               //!< Not shed (status != shedLoad).
-    queueFull,          //!< Fabric at cap, or tenant queue full.
+    queueFull,          //!< The tenant's submission queue is full.
     deadlineInfeasible, //!< Estimated completion misses the deadline.
     tenantOverBudget,   //!< Tenant at its in-flight budget, no queueing.
 };

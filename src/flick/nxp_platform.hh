@@ -81,13 +81,6 @@ class NxpPlatform : public MmioDevice
         return outboxLocalPa() + slot * 128;
     }
 
-    /** First local byte not reserved for the platform (mailboxes etc.). */
-    Addr
-    reservedLocalEnd() const
-    {
-        return _mem.platform().nxpDramLocalBase + (1ull << 20);
-    }
-
     /** DMA completion callback: a descriptor landed in the inbox. */
     void
     inboxArrived()

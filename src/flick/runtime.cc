@@ -65,7 +65,6 @@ struct EnginePlacementView final : PlacementView
                   (s.busy ? 1 : 0);
         l.busy = s.busy;
         l.quarantined = s.health == DeviceHealth::quarantined;
-        l.saturated = e._admissionCap && l.depth >= e._admissionCap;
         return l;
     }
 
@@ -401,21 +400,6 @@ MigrationEngine::submit(Task &task, VAddr entry,
         tenantStat("qos.submitted", tenant);
     }
 
-    if (_admissionCap && fabricSaturated()) {
-        // Admission control: every live device is at its in-flight cap,
-        // so the call is refused at the front door. The future completes
-        // right here — nothing is queued, no event is scheduled, and the
-        // caller can retry or degrade immediately.
-        _stats.inc("admission.shed");
-        if (_qos.enabled) {
-            tenantStat("qos.shed", tenant);
-            tenantStat("qos.shed.queue_full", tenant);
-            recordArrival(tenant, task.pid, QosArrival::Outcome::shed,
-                          ShedReason::queueFull, 0);
-        }
-        return shedFuture(task, ShedReason::queueFull);
-    }
-
     Tick abs_deadline = 0;
     if (opts.deadline)
         abs_deadline = _events.now() + opts.deadline;
@@ -671,10 +655,6 @@ MigrationEngine::pumpQosQueues()
             break;
         if (_tenants.lastPickAged())
             tenantStat("qos.aged_picks", static_cast<unsigned>(pick));
-        // Respect the legacy fabric cap too: pulling a queued call into
-        // a saturated fabric would only shed it deeper in.
-        if (_admissionCap && fabricSaturated())
-            break;
         auto tenant = static_cast<unsigned>(pick);
         QosPending p = std::move(_qosQueues[tenant].front());
         _qosQueues[tenant].pop_front();
@@ -739,35 +719,6 @@ MigrationEngine::cancelQueuedCall(int pid, unsigned tenant)
     }
     panic("queued call of pid %d missing from tenant %u's queue", pid,
           tenant);
-}
-
-bool
-MigrationEngine::fabricSaturated() const
-{
-    // Shed only when at least one device is alive and all alive devices
-    // are at the cap; a host-only system never sheds (nothing to cap)
-    // and an all-quarantined fabric fails calls through the existing
-    // deviceLost/failover machinery, not admission.
-    bool any = false;
-    for (const NxpSide &s : _nxp) {
-        if (s.health == DeviceHealth::quarantined)
-            continue;
-        any = true;
-        unsigned depth = s.h2d.inUse() +
-                         static_cast<unsigned>(s.h2dDeferred.size()) +
-                         (s.busy ? 1 : 0);
-        if (depth < _admissionCap)
-            return false;
-    }
-    return any;
-}
-
-std::uint64_t
-MigrationEngine::runHostFunction(Task &task, VAddr entry,
-                                 const std::vector<std::uint64_t> &args,
-                                 VAddr stack_top)
-{
-    return submit(task, entry, args, stack_top).wait();
 }
 
 // --- Host-core scheduling ------------------------------------------------
@@ -1750,7 +1701,7 @@ MigrationEngine::hostSendDescriptor(TaskExec &x, MigrationDescriptor d,
                 if (s.h2d.full())
                     s.h2dDeferred.push_back(d);
                 else
-                    stageHostToNxp(d, device);
+                    fireHostToNxp(d, device);
                 // An armed race consumes the just-freed host core for
                 // the speculative twin instead of giving it back
                 // (DESIGN.md §16).
@@ -1765,89 +1716,6 @@ MigrationEngine::hostSendDescriptor(TaskExec &x, MigrationDescriptor d,
                 fire();
         });
     });
-}
-
-void
-MigrationEngine::stageHostToNxp(MigrationDescriptor d, unsigned device)
-{
-    if (!_batching) {
-        fireHostToNxp(d, device);
-        return;
-    }
-    NxpSide &s = side(device);
-    // Batched: the kernel stages the descriptor into the ring now but
-    // holds the DMA doorbell until the coalescing window closes, so
-    // back-to-back sends to the same device ship as one chained burst.
-    d.seq = ++s.h2dSendSeq;
-    unsigned slot = s.h2d.push();
-    writeHostStaging(d, device, slot);
-    traceGauge(TraceGauge::h2dRing, device, s.h2d.inUse());
-    s.h2dBatch.push_back({slot, static_cast<int>(d.pid), d.callId, d.kind});
-    if (!s.batchFlushScheduled) {
-        s.batchFlushScheduled = true;
-        std::uint64_t epoch = s.batchEpoch;
-        _events.scheduleIn(_timing.dmaBatchWindow, "h2d-batch-window",
-                           [this, device, epoch] {
-            NxpSide &t = side(device);
-            if (t.batchEpoch != epoch)
-                return; // quarantine tore the batch down under us
-            t.batchFlushScheduled = false;
-            flushH2dBatch(device);
-        });
-    }
-}
-
-void
-MigrationEngine::flushH2dBatch(unsigned device)
-{
-    NxpSide &s = side(device);
-    while (!s.h2dBatch.empty()) {
-        // One burst per maximal run of contiguous ring slots: the DMA
-        // chain walks a flat region of the staging array, so a run
-        // breaks where the ring wraps back to slot 0.
-        std::size_t n = 1;
-        while (n < s.h2dBatch.size() &&
-               s.h2dBatch[n].slot == s.h2dBatch[n - 1].slot + 1)
-            ++n;
-        std::vector<NxpSide::PendingBurst> run(s.h2dBatch.begin(),
-                                               s.h2dBatch.begin() + n);
-        s.h2dBatch.erase(s.h2dBatch.begin(), s.h2dBatch.begin() + n);
-
-        protoStat("doorbell_writes", device);
-        protoStat("batch.bursts", device);
-        if (n > 1) {
-            _stats.inc("batch.coalesced", n - 1);
-            _stats.inc(strfmt("batch.coalesced_dev%u", device), n - 1);
-        }
-        if (n > _batchMaxDescs) {
-            _batchMaxDescs = static_cast<unsigned>(n);
-            _stats.set("batch.descs_per_burst_max", _batchMaxDescs);
-        }
-        for (const auto &e : run) {
-            tracePoint(TracePoint::dmaToNxpStart, e.pid, e.callId, device);
-            if (e.kind == DescriptorKind::hostToNxpCall)
-                journal(ProtocolStep::dmaToNxp, e.pid);
-        }
-        NxpPlatform *platform = s.platform;
-        // Resolve the burst's staging/mailbox region before the call:
-        // the completion lambda's capture moves `run` out from under
-        // any argument expression still referring to it.
-        Addr staging_pa = s.h2d.stagingPa(run.front().slot);
-        Addr mailbox_pa = s.h2d.mailboxPa(run.front().slot);
-        s.dma->copyHostToNxp(staging_pa, mailbox_pa,
-                             n * MigrationDescriptor::wireBytes,
-                             [this, platform, device,
-                              run = std::move(run)] {
-                                 for (const auto &e : run) {
-                                     ++side(device).progress;
-                                     tracePoint(TracePoint::dmaToNxpDone,
-                                                e.pid, e.callId, device);
-                                     platform->inboxArrived();
-                                 }
-                                 kickNxp(device);
-                             },
-                             static_cast<unsigned>(n));
-    }
 }
 
 void
@@ -1949,7 +1817,7 @@ MigrationEngine::dispatchNxp(unsigned device)
             if (!t.h2dDeferred.empty() && !t.h2d.full()) {
                 MigrationDescriptor dd = t.h2dDeferred.front();
                 t.h2dDeferred.pop_front();
-                stageHostToNxp(dd, device);
+                fireHostToNxp(dd, device);
             }
             // ACK through the control register.
             after(_timing.nxpToLocalMmio, [this, device, d] {
@@ -2658,11 +2526,6 @@ MigrationEngine::quarantineDevice(unsigned device)
     s.h2dDeferred.clear();
     s.d2hDeferred.clear();
     s.d2hLanded = 0;
-    // An open batch window dies with the rings; the epoch bump makes a
-    // pending window-close event a no-op.
-    s.h2dBatch.clear();
-    s.batchFlushScheduled = false;
-    ++s.batchEpoch;
 
     // failCall erases from _exec, so sweep over a PID snapshot.
     std::vector<int> pids;

@@ -157,10 +157,7 @@ class MigrationEngine
                       Addr host_inbox_pa, unsigned irq_vector,
                       unsigned ring_slots, std::uint64_t freq_hz = 0);
 
-    /**
-     * Per-call knobs a submission may carry. Defaults leave the event
-     * stream exactly as a plain submit() would.
-     */
+    /** Per-call knobs a submission may carry (FlickSystem's CallSpec). */
     struct SubmitOptions
     {
         /**
@@ -184,33 +181,14 @@ class MigrationEngine
      * that resolves when the entry function returns. The call begins at
      * the current simulated time but makes progress only as the event
      * queue runs (CallFuture::wait() pumps it); submitting never blocks.
-     *
-     * With admission control enabled (setAdmissionCap) and every
-     * non-quarantined device at its in-flight cap, the call is shed:
-     * the returned future is already done with status
-     * CallStatus::shedLoad and nothing enters the system.
+     * The QoS front door (setQos) may shed the call at submit time: the
+     * returned future is then already done with CallStatus::shedLoad.
      *
      * @param stack_top Initial host stack pointer.
      */
     CallFuture submit(Task &task, VAddr entry,
                       const std::vector<std::uint64_t> &args,
                       VAddr stack_top, const SubmitOptions &opts);
-
-    /** submit() with default options. */
-    CallFuture
-    submit(Task &task, VAddr entry,
-           const std::vector<std::uint64_t> &args, VAddr stack_top)
-    {
-        return submit(task, entry, args, stack_top, SubmitOptions());
-    }
-
-    /**
-     * Blocking convenience: submit() and wait. Kept for callers that
-     * want the pre-CallFuture synchronous behavior.
-     */
-    std::uint64_t runHostFunction(Task &task, VAddr entry,
-                                  const std::vector<std::uint64_t> &args,
-                                  VAddr stack_top);
 
     /**
      * Free the NxP stacks @p task accumulated (thread teardown). The
@@ -251,37 +229,6 @@ class MigrationEngine
      * simulation dies with an unrecoverable-corruption diagnostic.
      */
     void setRetryBudget(unsigned budget) { _retryBudget = budget; }
-
-    // --- Descriptor batching and admission control ----------------------
-
-    /**
-     * Enable h2d descriptor batching: a staged descriptor opens a
-     * per-device coalescing window (TimingConfig::dmaBatchWindow);
-     * descriptors staged for the same device inside the window ship as
-     * one chained DMA burst with one doorbell write, charged
-     * TimingConfig::dmaBurstTransfer(). Off (the default) every
-     * descriptor fires its own burst immediately and the event stream
-     * is tick-for-tick identical to the pre-batching engine. Batching
-     * trades up to one window of added crossing latency for fewer
-     * doorbells under storm load; results are value-identical either
-     * way (tests/fabric_scale_test.cpp asserts both properties).
-     */
-    void setBatching(bool on) { _batching = on; }
-
-    /**
-     * Per-device in-flight cap (admission control). While every
-     * non-quarantined device's depth (staged + deferred descriptors +
-     * running segment) is at or above @p cap, submit() sheds new calls
-     * with CallStatus::shedLoad instead of queueing them. Load-aware
-     * placement policies also avoid saturated devices (they see
-     * DeviceLoad::saturated). 0 (the default) disables the cap and
-     * leaves every run tick-for-tick identical to the pre-admission
-     * engine.
-     */
-    void setAdmissionCap(unsigned cap) { _admissionCap = cap; }
-
-    /** The configured admission cap (0 = off). */
-    unsigned admissionCap() const { return _admissionCap; }
 
     // --- Multi-tenant QoS & overload protection (DESIGN.md §14) --------
 
@@ -564,21 +511,6 @@ class MigrationEngine
         std::deque<MigrationDescriptor> h2dDeferred;
         std::deque<MigrationDescriptor> d2hDeferred;
 
-        // --- h2d batching state (setBatching) --------------------------
-        //! One staged-but-unfired descriptor in the open batch window.
-        struct PendingBurst
-        {
-            unsigned slot;        //!< Staging/inbox ring slot it sits in.
-            int pid;
-            std::uint64_t callId;
-            DescriptorKind kind;  //!< For per-descriptor journal records.
-        };
-        //! Descriptors staged during the current window, in ring order.
-        std::vector<PendingBurst> h2dBatch;
-        bool batchFlushScheduled = false; //!< Window-close event pending.
-        //! Bumped by quarantine so a pending window-close event finds
-        //! its batch gone and does nothing.
-        std::uint64_t batchEpoch = 0;
         bool busy = false;          //!< Core owned by a thread/handler.
         bool kickScheduled = false; //!< Scheduler poll event pending.
         Addr loadedCr3 = 0;         //!< CR3 the device MMU currently holds.
@@ -662,8 +594,7 @@ class MigrationEngine
 
     /**
      * Hand freed capacity to the tenant queues: weighted-fair dequeue
-     * while any tenant with queued work is under its effective budget
-     * (and the legacy fabric cap, when configured, is not saturated).
+     * while any tenant with queued work is under its effective budget.
      * Re-checks deadline feasibility with the time burned queueing.
      */
     void pumpQosQueues();
@@ -799,20 +730,8 @@ class MigrationEngine
      */
     void hostSendDescriptor(TaskExec &x, MigrationDescriptor d,
                             unsigned device);
-    /**
-     * Ring-stage @p d for @p device: immediately fired (one burst, one
-     * doorbell) when batching is off, or parked in the device's open
-     * coalescing window when batching is on.
-     */
-    void stageHostToNxp(MigrationDescriptor d, unsigned device);
     /** Stage @p d in the next h2d ring slot and start its DMA burst. */
     void fireHostToNxp(MigrationDescriptor d, unsigned device);
-    /**
-     * Close @p device's batch window: ship every parked descriptor as
-     * chained DMA bursts (one per maximal run of contiguous ring slots,
-     * split where the ring wraps), each with a single doorbell write.
-     */
-    void flushH2dBatch(unsigned device);
 
     // --- NxP-side scheduling ------------------------------------------
 
@@ -886,12 +805,6 @@ class MigrationEngine
 
     /** Does @p x's call state reference @p device anywhere? */
     bool execTouches(const TaskExec &x, unsigned device) const;
-
-    /**
-     * Admission control's trigger: true when at least one device is
-     * alive and every alive device is at the in-flight cap.
-     */
-    bool fabricSaturated() const;
 
     /**
      * Complete @p x's call with a non-ok @p status and unwind its
@@ -1026,9 +939,6 @@ class MigrationEngine
 
     Tick _extraRoundTrip = 0;
     std::uint64_t _nxpStackBytes = 64 * 1024;
-    bool _batching = false;      //!< h2d descriptor coalescing on/off.
-    unsigned _admissionCap = 0;  //!< Per-device in-flight cap; 0 = off.
-    unsigned _batchMaxDescs = 0; //!< Largest burst shipped so far.
     ChaosController *_chaos = nullptr;
     Tracer *_tracer = nullptr;
     unsigned _retryBudget = 16;

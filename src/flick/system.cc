@@ -50,48 +50,50 @@ nxpCoreParams(const TimingConfig &t, unsigned device = 0,
 
 } // namespace
 
+FlickSystem::NxpDevice::NxpDevice(const SystemConfig &config, unsigned id,
+                                  MemSystem &mem, EventQueue &events,
+                                  IrqController &irq)
+    : core(nxpCoreParams(config.timing, id, config.deviceFrequency(id),
+                         config.decodeCache),
+           mem),
+      platform(mem, id),
+      dma(events, mem, &irq, id),
+      windowHeap(core.name() + "_window",
+                 layout::nxpWindowBaseFor(id) +
+                     PlatformConfig::nxpReservedBytes,
+                 config.platform.deviceDramBytes(id) -
+                     PlatformConfig::nxpReservedBytes)
+{
+    platform.setNxpMmu(&core.mmu());
+}
+
 FlickSystem::FlickSystem(SystemConfig config)
     : _config(std::move(config)),
       _mem(_config.timing, _config.platform),
       _chaos(_config.chaos),
       _irq(_events, _config.timing),
-      _dma(_events, _mem, &_irq),
-      _platformCtrl(_mem),
       _hostAlloc("host_dram", 0x100000,
                  _config.platform.hostDramBytes - 0x100000),
-      _nxpAlloc("nxp_dram", _platformCtrl.reservedLocalEnd(),
+      _nxpAlloc("nxp_dram",
                 _config.platform.nxpDramLocalBase +
-                    _config.platform.nxpDramBytes -
-                    _platformCtrl.reservedLocalEnd()),
+                    PlatformConfig::nxpReservedBytes,
+                _config.platform.deviceDramBytes(0) -
+                    PlatformConfig::nxpReservedBytes),
       _ptm(_mem, _hostAlloc),
       _hostCore(hostCoreParams(_config.timing, _config.decodeCache), _mem),
-      _nxpCore(nxpCoreParams(_config.timing, 0, _config.deviceFrequency(0),
-                             _config.decodeCache),
-               _mem),
-      _loader(_mem, _ptm, _hostAlloc, _nxpAlloc),
-      _nxpWindowHeap(
-          "nxp_window",
-          layout::nxpWindowBase + (_platformCtrl.reservedLocalEnd() -
-                                   _config.platform.nxpDramLocalBase),
-          _config.platform.nxpDramBytes -
-              (_platformCtrl.reservedLocalEnd() -
-               _config.platform.nxpDramLocalBase))
+      _loader(_mem, _ptm, _hostAlloc, _nxpAlloc)
 {
     if (_config.platform.nxpDeviceCount == 0)
         fatal("a Flick platform needs at least one NxP device");
 
-    _platformCtrl.setNxpMmu(&_nxpCore.mmu());
-
     // Every fabric component consults the one chaos controller, so a
     // seed fully determines the injected fault sequence.
-    _dma.setChaos(&_chaos);
     _irq.setChaos(&_chaos);
 
     // The one tracer (disabled unless configured): milestones from the
     // engine and kernel, queue-depth gauges from the DMA engines.
     if (_config.trace)
         _tracer.enable();
-    _dma.setTracer(&_tracer);
     _kernel.setTracer(&_tracer, &_events);
 
     _engine = std::make_unique<MigrationEngine>(_events, _mem,
@@ -103,8 +105,6 @@ FlickSystem::FlickSystem(SystemConfig config)
     _engine->setCallDeadline(_config.callDeadline);
     _engine->setHostFallback(_config.hostFallback);
     _engine->setHealthStrikeLimit(_config.healthStrikeLimit);
-    _engine->setBatching(_config.batching);
-    _engine->setAdmissionCap(_config.admissionCap);
     _engine->setQos(_config.qos);
     _engine->setArrivalTrace(_config.arrivalTrace);
 
@@ -120,65 +120,39 @@ FlickSystem::FlickSystem(SystemConfig config)
         _config.placement != PlacementKind::staticPlacement)
         _engine->setPlacementPolicy(_placement.get());
 
-    // Per device: a host-side staging ring the kernel packages outbound
-    // descriptors into, and a host-side inbox ring the device's outbox
-    // DMAs into. The device-local mailbox rings live in the reserved
-    // window of its DRAM (NxpPlatform).
+    // Per device: its core, platform controller, DMA engine and window
+    // heap, plus a host-side staging ring the kernel packages outbound
+    // descriptors into and a host-side inbox ring the device's outbox
+    // DMAs into, registered with the engine in device-id order. The
+    // device-local mailbox rings live in the reserved window of its
+    // DRAM (NxpPlatform).
     unsigned slots = _config.ringSlots;
     if (slots == 0)
         slots = 1;
     if (slots > NxpPlatform::maxRingSlots)
         slots = NxpPlatform::maxRingSlots;
     std::uint64_t ring_bytes = slots * DescriptorRing::slotBytes;
-
-    Addr staging0 = _hostAlloc.allocate(ring_bytes);
-    Addr inbox0 = _hostAlloc.allocate(ring_bytes);
-    _engine->addNxpDevice(_nxpCore, _platformCtrl, _dma, _nxpWindowHeap,
-                          staging0, inbox0, 0, slots,
-                          _config.deviceFrequency(0));
-
-    // Devices 1..N-1: each gets its own core, platform controller, DMA
-    // engine, window heap and descriptor rings, registered with the
-    // engine in device-id order.
-    std::uint64_t reserved = _platformCtrl.reservedLocalEnd() -
-                             _config.platform.nxpDramLocalBase;
-    for (unsigned k = 1; k < _config.platform.nxpDeviceCount; ++k) {
-        auto core = std::make_unique<Rv64Core>(
-            nxpCoreParams(_config.timing, k, _config.deviceFrequency(k),
-                          _config.decodeCache),
-            _mem);
-        auto ctrl = std::make_unique<NxpPlatform>(_mem, k);
-        ctrl->setNxpMmu(&core->mmu());
-        auto dma = std::make_unique<DmaEngine>(_events, _mem, &_irq, k);
-        dma->setChaos(&_chaos);
-        dma->setTracer(&_tracer);
-        auto heap = std::make_unique<RegionHeap>(
-            "nxp" + std::to_string(k + 1) + "_window",
-            layout::nxpWindowBaseFor(k) + reserved,
-            _config.platform.deviceDramBytes(k) - reserved);
+    for (unsigned k = 0; k < _config.platform.nxpDeviceCount; ++k) {
+        auto dev =
+            std::make_unique<NxpDevice>(_config, k, _mem, _events, _irq);
+        dev->dma.setChaos(&_chaos);
+        dev->dma.setTracer(&_tracer);
+        dev->core.setNativeRange(layout::nativeGateNxp,
+                                 layout::nativeGateNxp + 4096,
+                                 _natives.makeHook(IsaKind::rv64));
         Addr staging = _hostAlloc.allocate(ring_bytes);
         Addr inbox = _hostAlloc.allocate(ring_bytes);
-        _engine->addNxpDevice(*core, *ctrl, *dma, *heap, staging, inbox, k,
-                              slots, _config.deviceFrequency(k));
-        _extraNxpCores.push_back(std::move(core));
-        _extraPlatformCtrls.push_back(std::move(ctrl));
-        _extraDmas.push_back(std::move(dma));
-        _extraWindowHeaps.push_back(std::move(heap));
+        _engine->addNxpDevice(dev->core, dev->platform, dev->dma,
+                              dev->windowHeap, staging, inbox, k, slots,
+                              _config.deviceFrequency(k));
+        _devices.push_back(std::move(dev));
     }
     _engine->setNxpStackBytes(_config.nxpStackBytes);
 
-    // Native-function gates.
+    // Native-function gate of the host core.
     _hostCore.setNativeRange(layout::nativeGateHost,
                              layout::nativeGateHost + 4096,
                              _natives.makeHook(IsaKind::hx64));
-    _nxpCore.setNativeRange(layout::nativeGateNxp,
-                            layout::nativeGateNxp + 4096,
-                            _natives.makeHook(IsaKind::rv64));
-    for (auto &core : _extraNxpCores) {
-        core->setNativeRange(layout::nativeGateNxp,
-                             layout::nativeGateNxp + 4096,
-                             _natives.makeHook(IsaKind::rv64));
-    }
 
     // Driver bring-up: compute each device's BAR remap offset and write
     // it into that device's TLB control register through its control
@@ -205,14 +179,11 @@ FlickSystem::FlickSystem(SystemConfig config)
         mcfg.enabled = true;
         _migrator = std::make_unique<PageMigrator>(
             _events, _mem, _ptm, *_residencyTracker, _hostAlloc, mcfg);
-        _migrator->addDevice(&_dma, &_nxpWindowHeap);
-        for (std::size_t k = 0; k < _extraDmas.size(); ++k)
-            _migrator->addDevice(_extraDmas[k].get(),
-                                 _extraWindowHeaps[k].get());
+        for (auto &dev : _devices)
+            _migrator->addDevice(&dev->dma, &dev->windowHeap);
         _migrator->addMmu(&_hostCore.mmu());
-        _migrator->addMmu(&_nxpCore.mmu());
-        for (auto &core : _extraNxpCores)
-            _migrator->addMmu(&core->mmu());
+        for (auto &dev : _devices)
+            _migrator->addMmu(&dev->core.mmu());
         // The write-listener fan-out doubles as the migrator's dirty
         // detector while a page copy is in flight (DESIGN.md §13/§15).
         _mem.addDecodeSink(_migrator.get());
@@ -230,44 +201,36 @@ FlickSystem::FlickSystem(SystemConfig config)
     }
 }
 
+FlickSystem::NxpDevice &
+FlickSystem::nxpDevice(unsigned id)
+{
+    if (id >= _devices.size())
+        fatal("no NxP device %u", id);
+    return *_devices[id];
+}
+
 Rv64Core &
 FlickSystem::Debug::nxpCore(unsigned device) const
 {
-    if (device == 0)
-        return sys->_nxpCore;
-    if (device - 1 < sys->_extraNxpCores.size())
-        return *sys->_extraNxpCores[device - 1];
-    fatal("no NxP device %u", device);
+    return sys->nxpDevice(device).core;
 }
 
 NxpPlatform &
 FlickSystem::Debug::nxpPlatform(unsigned device) const
 {
-    if (device == 0)
-        return sys->_platformCtrl;
-    if (device - 1 < sys->_extraPlatformCtrls.size())
-        return *sys->_extraPlatformCtrls[device - 1];
-    fatal("no NxP device %u", device);
+    return sys->nxpDevice(device).platform;
 }
 
 DmaEngine &
 FlickSystem::Debug::dma(unsigned device) const
 {
-    if (device == 0)
-        return sys->_dma;
-    if (device - 1 < sys->_extraDmas.size())
-        return *sys->_extraDmas[device - 1];
-    fatal("no NxP device %u", device);
+    return sys->nxpDevice(device).dma;
 }
 
 RegionHeap &
 FlickSystem::Debug::nxpHeap(unsigned device) const
 {
-    if (device == 0)
-        return sys->_nxpWindowHeap;
-    if (device - 1 < sys->_extraWindowHeaps.size())
-        return *sys->_extraWindowHeaps[device - 1];
-    fatal("no NxP device %u", device);
+    return sys->nxpDevice(device).windowHeap;
 }
 
 Process &
@@ -396,32 +359,6 @@ FlickSystem::submit(Process &process, CallSpec spec)
                            thread.hostStackTop - 64, opts);
 }
 
-CallFuture
-FlickSystem::submit(Process &process, const std::string &symbol,
-                    std::vector<std::uint64_t> args)
-{
-    return submit(process, CallSpec(symbol).withArgs(std::move(args)));
-}
-
-CallFuture
-FlickSystem::submit(Process &process, Task &thread,
-                    const std::string &symbol,
-                    std::vector<std::uint64_t> args)
-{
-    return submit(process, CallSpec(symbol)
-                               .withArgs(std::move(args))
-                               .onThread(thread));
-}
-
-CallFuture
-FlickSystem::submitVa(Process &process, Task &thread, VAddr va,
-                      std::vector<std::uint64_t> args)
-{
-    return submit(process, CallSpec::addr(va)
-                               .withArgs(std::move(args))
-                               .onThread(thread));
-}
-
 std::uint64_t
 FlickSystem::call(Process &process, const std::string &symbol,
                   std::vector<std::uint64_t> args)
@@ -433,7 +370,8 @@ std::uint64_t
 FlickSystem::callVa(Process &process, VAddr va,
                     std::vector<std::uint64_t> args)
 {
-    CallFuture f = submitVa(process, *process.task, va, std::move(args));
+    CallFuture f =
+        submit(process, CallSpec::addr(va).withArgs(std::move(args)));
     std::uint64_t v = f.wait();
     if (f.status() != CallStatus::ok) {
         // The synchronous API has no way to hand the outcome back;
@@ -448,7 +386,7 @@ VAddr
 FlickSystem::nxpMalloc(std::uint64_t bytes, std::uint64_t align,
                        unsigned device)
 {
-    return debug().nxpHeap(device).allocate(bytes, align);
+    return nxpDevice(device).windowHeap.allocate(bytes, align);
 }
 
 VAddr
@@ -484,7 +422,8 @@ FlickSystem::migratableMalloc(Process &process, std::uint64_t bytes,
         } else {
             // Frames come from the device's window heap (BAR-visible
             // local DRAM), like the engine's NxP stacks.
-            VAddr win = debug().nxpHeap(device).allocate(4096, 4096);
+            VAddr win = nxpDevice(static_cast<unsigned>(device))
+                            .windowHeap.allocate(4096, 4096);
             pa = _config.platform.barBase(device) +
                  (win - layout::nxpWindowBaseFor(device));
         }
@@ -556,7 +495,8 @@ FlickSystem::enableInstructionTrace(std::ostream *os)
 {
     if (!os) {
         _hostCore.setTraceHook(nullptr);
-        _nxpCore.setTraceHook(nullptr);
+        for (auto &dev : _devices)
+            dev->core.setTraceHook(nullptr);
         return;
     }
 
@@ -582,21 +522,25 @@ FlickSystem::enableInstructionTrace(std::ostream *os)
         std::uint8_t buf[10] = {};
         unsigned got = fetch(_hostCore.mmu().cr3(), pc, buf, sizeof buf);
         Hx64Disasm d = hx64Disassemble(buf, got, pc);
-        *os << strfmt("%12llu  host %#12llx: %s\n",
+        *os << strfmt("%12llu  %-4s %#12llx: %s\n",
                       (unsigned long long)_events.now(),
-                      (unsigned long long)pc, d.text.c_str());
+                      _hostCore.name().c_str(), (unsigned long long)pc,
+                      d.text.c_str());
     });
-    _nxpCore.setTraceHook([this, os, fetch](VAddr pc) {
-        std::uint8_t buf[4] = {};
-        fetch(_nxpCore.mmu().cr3(), pc, buf, 4);
-        std::uint32_t insn = 0;
-        for (int i = 0; i < 4; ++i)
-            insn |= std::uint32_t(buf[i]) << (8 * i);
-        *os << strfmt("%12llu  nxp  %#12llx: %s\n",
-                      (unsigned long long)_events.now(),
-                      (unsigned long long)pc,
-                      rv64Disassemble(insn, pc).c_str());
-    });
+    for (auto &dev : _devices) {
+        Rv64Core &core = dev->core;
+        core.setTraceHook([this, os, fetch, &core](VAddr pc) {
+            std::uint8_t buf[4] = {};
+            fetch(core.mmu().cr3(), pc, buf, 4);
+            std::uint32_t insn = 0;
+            for (int i = 0; i < 4; ++i)
+                insn |= std::uint32_t(buf[i]) << (8 * i);
+            *os << strfmt("%12llu  %-4s %#12llx: %s\n",
+                          (unsigned long long)_events.now(),
+                          core.name().c_str(), (unsigned long long)pc,
+                          rv64Disassemble(insn, pc).c_str());
+        });
+    }
 }
 
 void
@@ -605,28 +549,20 @@ FlickSystem::dumpStats(std::ostream &os)
     _mem.stats().dump(os);
     _kernel.stats().dump(os);
     _chaos.stats().dump(os);
-    _dma.stats().dump(os);
     _irq.stats().dump(os);
-    _platformCtrl.stats().dump(os);
     _engine->stats().dump(os);
     _hostCore.stats().dump(os);
-    _nxpCore.stats().dump(os);
     _hostCore.mmu().itlb().stats().dump(os);
     _hostCore.mmu().dtlb().stats().dump(os);
-    _nxpCore.mmu().itlb().stats().dump(os);
-    _nxpCore.mmu().dtlb().stats().dump(os);
-    _nxpCore.mmu().walker().stats().dump(os);
-    if (_nxpCore.icache())
-        _nxpCore.icache()->stats().dump(os);
-    for (std::size_t k = 0; k < _extraNxpCores.size(); ++k) {
-        _extraNxpCores[k]->stats().dump(os);
-        _extraPlatformCtrls[k]->stats().dump(os);
-        _extraDmas[k]->stats().dump(os);
-        _extraNxpCores[k]->mmu().itlb().stats().dump(os);
-        _extraNxpCores[k]->mmu().dtlb().stats().dump(os);
-        _extraNxpCores[k]->mmu().walker().stats().dump(os);
-        if (_extraNxpCores[k]->icache())
-            _extraNxpCores[k]->icache()->stats().dump(os);
+    for (auto &dev : _devices) {
+        dev->core.stats().dump(os);
+        dev->platform.stats().dump(os);
+        dev->dma.stats().dump(os);
+        dev->core.mmu().itlb().stats().dump(os);
+        dev->core.mmu().dtlb().stats().dump(os);
+        dev->core.mmu().walker().stats().dump(os);
+        if (dev->core.icache())
+            dev->core.icache()->stats().dump(os);
     }
     if (_residencyTracker) {
         _residencyTracker->syncStats();

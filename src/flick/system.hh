@@ -132,24 +132,6 @@ struct SystemConfig
      */
     std::vector<std::uint64_t> deviceFreqHz;
     /**
-     * Coalesce same-device migration descriptors staged within
-     * timing.dmaBatchWindow into one chained DMA burst and one doorbell
-     * write (DESIGN.md §12). Opt-in: with batching off (the default) the
-     * event stream is tick-for-tick identical to pre-batching builds;
-     * with it on, storm loads trade up to one batch window of added
-     * latency per crossing for far fewer doorbells and DMA setups.
-     */
-    bool batching = false;
-    /**
-     * Admission control: maximum in-flight calls per device (staged +
-     * deferred descriptors + running segment) before new submissions are
-     * shed (0 = unbounded, the default). When every live device is at
-     * the cap, submit() completes the call immediately with
-     * CallStatus::shedLoad instead of queueing unbounded work, and the
-     * load-aware placement policies route around saturated devices.
-     */
-    unsigned admissionCap = 0;
-    /**
      * Multi-tenant QoS and deadline-aware admission (DESIGN.md §14).
      * Each loaded process is a tenant keyed by its address space; with
      * qos.enabled the engine runs per-tenant in-flight budgets, bounded
@@ -201,13 +183,6 @@ struct SystemConfig
         return *this;
     }
 
-    /** @deprecated Alias of withDevices(), kept for source compat. */
-    SystemConfig &
-    withNxpDevices(unsigned count)
-    {
-        return withDevices(count);
-    }
-
     /** Override device @p device's core frequency (Hz). */
     SystemConfig &
     withDeviceFrequency(unsigned device, std::uint64_t hz)
@@ -225,22 +200,6 @@ struct SystemConfig
         if (platform.deviceDramOverride.size() <= device)
             platform.deviceDramOverride.resize(device + 1, 0);
         platform.deviceDramOverride[device] = bytes;
-        return *this;
-    }
-
-    /** Enable descriptor batching (see `batching`). */
-    SystemConfig &
-    withBatching(bool on = true)
-    {
-        batching = on;
-        return *this;
-    }
-
-    /** Cap in-flight calls per device; 0 disables (see `admissionCap`). */
-    SystemConfig &
-    withAdmissionControl(unsigned cap)
-    {
-        admissionCap = cap;
         return *this;
     }
 
@@ -440,13 +399,6 @@ struct SystemConfig
         placementConfig = config;
         return *this;
     }
-
-    /** Convenience: configure a second NxP device (Section IV-C3). */
-    void
-    enableSecondNxp()
-    {
-        platform.nxpDeviceCount = 2;
-    }
 };
 
 /** A loaded multi-ISA process with its main thread. */
@@ -563,23 +515,10 @@ class FlickSystem
      * Start the call described by @p spec and return a future. The call
      * makes progress as simulated time advances (wait() on any future,
      * or advanceTime()); concurrent submissions from different threads
-     * of the process overlap across the cores. Under admission control
-     * the future may already be done() with CallStatus::shedLoad.
+     * of the process overlap across the cores. With QoS enabled the
+     * future may already be done() with CallStatus::shedLoad.
      */
     CallFuture submit(Process &process, CallSpec spec);
-
-    /** @deprecated Use submit(process, CallSpec(symbol).withArgs(...)). */
-    CallFuture submit(Process &process, const std::string &symbol,
-                      std::vector<std::uint64_t> args = {});
-
-    /** @deprecated Use submit() with CallSpec::onThread(). */
-    CallFuture submit(Process &process, Task &thread,
-                      const std::string &symbol,
-                      std::vector<std::uint64_t> args = {});
-
-    /** @deprecated Use submit() with CallSpec::addr(). */
-    CallFuture submitVa(Process &process, Task &thread, VAddr va,
-                        std::vector<std::uint64_t> args = {});
 
     /**
      * Call @p symbol on @p process's main thread, starting on the host
@@ -664,8 +603,9 @@ class FlickSystem
     }
 
     /**
-     * Stream a disassembled instruction trace of both cores to @p os
-     * (pass nullptr to disable). Expensive; for debugging.
+     * Stream a disassembled instruction trace of every core — the host
+     * and each NxP device, labelled by core name — to @p os (pass
+     * nullptr to disable). Expensive; for debugging.
      */
     void enableInstructionTrace(std::ostream *os);
 
@@ -697,8 +637,8 @@ class FlickSystem
 
     /**
      * Raw access to the simulated components, for tests, tools and
-     * debugging harnesses. Groups what used to be loose accessors on
-     * FlickSystem itself.
+     * debugging harnesses. The per-device accessors die with "no NxP
+     * device" when @p device is out of range.
      */
     struct Debug
     {
@@ -748,41 +688,30 @@ class FlickSystem
     /** The debug/introspection harness. */
     Debug debug() { return Debug{this}; }
 
-    // Deprecated forwarders, kept for source compatibility; prefer the
-    // grouped debug() harness.
-
-    /** @deprecated Use debug().mem(). */
-    MemSystem &mem() { return debug().mem(); }
-    /** @deprecated Use debug().kernel(). */
-    Kernel &kernel() { return debug().kernel(); }
-    /** @deprecated Use debug().engine(). */
-    MigrationEngine &engine() { return debug().engine(); }
-    /** @deprecated Use debug().hostCore(). */
-    Hx64Core &hostCore() { return debug().hostCore(); }
-    /** @deprecated Use debug().nxpCore(). */
-    Rv64Core &nxpCore(unsigned device = 0) { return debug().nxpCore(device); }
-    /** @deprecated Use debug().nxpPlatform(). */
-    NxpPlatform &
-    nxpPlatform(unsigned device = 0)
-    {
-        return debug().nxpPlatform(device);
-    }
-    /** @deprecated Use debug().nxpDeviceCount(). */
-    unsigned nxpDeviceCount() const
-    {
-        return _config.platform.nxpDeviceCount;
-    }
-    /** @deprecated Use debug().pageTables(). */
-    PageTableManager &pageTables() { return debug().pageTables(); }
-    /** @deprecated Use debug().natives(). */
-    NativeRegistry &natives() { return debug().natives(); }
-    /** @deprecated Use debug().events(). */
-    EventQueue &events() { return debug().events(); }
-    /** @deprecated Use debug().nxpHeap(). */
-    RegionHeap &nxpHeap() { return debug().nxpHeap(); }
-
   private:
     friend struct Debug;
+
+    /**
+     * One NxP device's components, constructed together in device-id
+     * order. Device k's stat groups and heap are named after its core:
+     * "nxp"/"dma"/"nxp_platform"/"nxp_window" for device 0,
+     * "nxp<k+1>"/"dma<k+1>"/... beyond it.
+     */
+    struct NxpDevice
+    {
+        NxpDevice(const SystemConfig &config, unsigned id, MemSystem &mem,
+                  EventQueue &events, IrqController &irq);
+
+        Rv64Core core;
+        NxpPlatform platform;
+        DmaEngine dma;
+        /** Allocator over the device's BAR window past the reserved
+         *  mailbox area (nxpMalloc, NxP stacks, migratable frames). */
+        RegionHeap windowHeap;
+    };
+
+    /** Device @p id; fatal() when the platform has no such device. */
+    NxpDevice &nxpDevice(unsigned id);
 
     Addr translateDebug(const Process &process, VAddr va) const;
 
@@ -795,23 +724,16 @@ class FlickSystem
     ChaosController _chaos;
     Tracer _tracer;
     IrqController _irq;
-    DmaEngine _dma;
-    NxpPlatform _platformCtrl;
     PhysAllocator _hostAlloc;
     PhysAllocator _nxpAlloc;
     PageTableManager _ptm;
     Hx64Core _hostCore;
-    Rv64Core _nxpCore;
     Kernel _kernel;
     ProgramLoader _loader;
     NativeRegistry _natives;
-    RegionHeap _nxpWindowHeap;
-    // Devices 1..N-1 of the fabric (device 0 lives in the members above);
-    // index [k-1] is device k.
-    std::vector<std::unique_ptr<Rv64Core>> _extraNxpCores;
-    std::vector<std::unique_ptr<NxpPlatform>> _extraPlatformCtrls;
-    std::vector<std::unique_ptr<DmaEngine>> _extraDmas;
-    std::vector<std::unique_ptr<RegionHeap>> _extraWindowHeaps;
+    // Declared before the engine and the migrator, which hold pointers
+    // into the devices, so the devices outlive both.
+    std::vector<std::unique_ptr<NxpDevice>> _devices;
     std::unique_ptr<MigrationEngine> _engine;
     std::shared_ptr<PlacementPolicy> _placement;
     std::unique_ptr<ResidencyTracker> _residencyTracker;

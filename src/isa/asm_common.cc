@@ -134,8 +134,9 @@ parseIntLiteral(const std::string &text)
                     static_cast<std::uint64_t>(text[i] - '0');
         }
     }
-    std::int64_t sv = static_cast<std::int64_t>(value);
-    return neg ? -sv : sv;
+    // Negate in unsigned arithmetic: "-9223372036854775808" is INT64_MIN,
+    // whose signed negation would overflow.
+    return static_cast<std::int64_t>(neg ? 0 - value : value);
 }
 
 bool

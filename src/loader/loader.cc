@@ -126,12 +126,6 @@ ProgramLoader::load(const LinkedImage &image, const LoadOptions &options)
                      options.nxpWindowPageSize,
                      pte::user | pte::writable | pte::noExecute);
         }
-        prog.nxpWindowBase = prog.nxpWindows[0];
-        prog.nxpWindowBytes = prog.nxpWindowSizes[0];
-        if (platform.nxpDeviceCount > 1) {
-            prog.nxpWindowBase2 = prog.nxpWindows[1];
-            prog.nxpWindowBytes2 = prog.nxpWindowSizes[1];
-        }
     }
 
     // Native-function gate pages: one page that looks like host text

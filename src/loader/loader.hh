@@ -51,8 +51,6 @@ nxpWindowBaseFor(unsigned device)
 {
     return nxpWindowBase + device * nxpWindowStride;
 }
-/** Window of the second NxP device's local DRAM (if present). */
-constexpr VAddr nxpWindowBase2 = nxpWindowBaseFor(1);
 /** Top of the host stack (grows down). */
 constexpr VAddr hostStackTop = 0x7ffffff00000ull;
 } // namespace layout
@@ -87,11 +85,8 @@ struct LoadedProgram
     std::uint64_t hostStackBytes = 0;
     VAddr hostHeapBase = 0;
     std::uint64_t hostHeapBytes = 0;
-    VAddr nxpWindowBase = 0;
-    std::uint64_t nxpWindowBytes = 0;
-    VAddr nxpWindowBase2 = 0;
-    std::uint64_t nxpWindowBytes2 = 0;
-    /** Per-device DRAM window bases/sizes (index = device). */
+    /** Per-device DRAM window bases/sizes (index = device); empty when
+     *  LoadOptions::mapNxpWindow is off. */
     std::vector<VAddr> nxpWindows;
     std::vector<std::uint64_t> nxpWindowSizes;
 

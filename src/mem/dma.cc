@@ -12,10 +12,9 @@ namespace flick
 
 void
 DmaEngine::copyHostToNxp(Addr host_pa, Addr nxp_local_pa, std::uint64_t len,
-                         Callback done, unsigned chained)
+                         Callback done)
 {
-    enqueue({true, host_pa, nxp_local_pa, len, -1, std::move(done),
-             chained ? chained : 1});
+    enqueue({true, host_pa, nxp_local_pa, len, -1, std::move(done)});
 }
 
 void
@@ -23,7 +22,7 @@ DmaEngine::copyNxpToHost(Addr nxp_local_pa, Addr host_pa, std::uint64_t len,
                          int irq_vector, Callback done)
 {
     enqueue({false, nxp_local_pa, host_pa, len, irq_vector,
-             std::move(done), 1});
+             std::move(done)});
 }
 
 void
@@ -62,7 +61,7 @@ DmaEngine::start(Transfer t)
         _stats.inc("chaos_stuck");
         return;
     }
-    Tick latency = _mem.timing().dmaBurstTransfer(t.chained, t.len);
+    Tick latency = _mem.timing().dmaTransfer(t.len);
     if (_chaos) {
         Tick extra = _chaos->extraDmaDelay();
         if (extra) {

@@ -54,14 +54,9 @@ class DmaEngine
      * @param host_pa Source, host physical address space.
      * @param nxp_local_pa Destination, NxP-local physical address space.
      * @param done Runs at completion (after data is visible).
-     * @param chained Number of chained descriptor-table elements this
-     *        transfer coalesces: with > 1 the burst is charged
-     *        dmaBurstTransfer() (one setup amortized over the chain)
-     *        instead of one dmaTransfer() per element. 1 is a plain
-     *        transfer, cost-identical to the unbatched engine.
      */
     void copyHostToNxp(Addr host_pa, Addr nxp_local_pa, std::uint64_t len,
-                       Callback done = nullptr, unsigned chained = 1);
+                       Callback done = nullptr);
 
     /**
      * Copy @p len bytes from NxP local DRAM to host DRAM.
@@ -105,7 +100,6 @@ class DmaEngine
         std::uint64_t len;
         int irq_vector;
         Callback done;
-        unsigned chained = 1; //!< Chained elements in this burst.
     };
 
     void enqueue(Transfer t);

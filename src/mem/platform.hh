@@ -44,6 +44,12 @@ struct PlatformConfig
     Addr nxpCtrlLocalBase = 0x60000000ull;
     /** Size of the control window (one page of registers). */
     std::uint64_t nxpCtrlBytes = 4096;
+    /**
+     * Bytes at the start of every device's local DRAM reserved for the
+     * platform (the descriptor mailbox rings); allocations start past
+     * them.
+     */
+    static constexpr std::uint64_t nxpReservedBytes = 1ull << 20;
 
     /**
      * Number of NxP devices in the system. Every device — think a fabric

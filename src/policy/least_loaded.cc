@@ -3,13 +3,10 @@
 namespace flick
 {
 
-namespace
-{
-
 int
-scanLeastLoaded(const PlacementQuery &query,
+pickLeastLoaded(const PlacementQuery &query,
                 const PlacementCandidates &cands,
-                const PlacementView &view, bool skip_saturated)
+                const PlacementView &view)
 {
     int best = -1;
     unsigned best_depth = 0;
@@ -21,8 +18,6 @@ scanLeastLoaded(const PlacementQuery &query,
             continue;
         DeviceLoad l = view.load(d);
         if (l.quarantined)
-            continue;
-        if (skip_saturated && l.saturated)
             continue;
         if (best >= 0) {
             if (l.depth > best_depth)
@@ -38,23 +33,6 @@ scanLeastLoaded(const PlacementQuery &query,
         best = static_cast<int>(d);
         best_depth = l.depth;
     }
-    return best;
-}
-
-} // namespace
-
-int
-pickLeastLoaded(const PlacementQuery &query,
-                const PlacementCandidates &cands,
-                const PlacementView &view)
-{
-    // Admission control: devices at their in-flight cap are avoided while
-    // any eligible device still has headroom; when all are saturated the
-    // plain depth comparison takes over (the engine's submit-time shedding
-    // is the real relief valve).
-    int best = scanLeastLoaded(query, cands, view, true);
-    if (best < 0)
-        best = scanLeastLoaded(query, cands, view, false);
     return best;
 }
 

@@ -82,13 +82,6 @@ struct DeviceLoad
     bool busy = false;
     /** Written off by the health watchdog; must never be chosen. */
     bool quarantined = false;
-    /**
-     * Admission control: depth reached the configured in-flight cap.
-     * Load-aware policies avoid saturated devices unless every eligible
-     * device is saturated (then depth decides as usual). Always false
-     * when no admission cap is configured.
-     */
-    bool saturated = false;
 };
 
 /** One dispatch decision request. */

@@ -5,6 +5,16 @@
 namespace flick
 {
 
+EventQueue::~EventQueue()
+{
+    // The queue owns its entries: destroying an entry destroys its
+    // callback and whatever the callback captured.
+    while (!_queue.empty()) {
+        delete _queue.top();
+        _queue.pop();
+    }
+}
+
 EventQueue::EventId
 EventQueue::schedule(Tick when, std::string name, Callback cb)
 {

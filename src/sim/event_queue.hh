@@ -38,6 +38,8 @@ class EventQueue
     using EventId = std::uint64_t;
 
     EventQueue() = default;
+    /** Frees every still-pending event (its callback never runs). */
+    ~EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 

@@ -82,22 +82,6 @@ struct TimingConfig
     Tick dmaSetup = ns(1250);
     /** DMA per-byte cost (PCIe 3.0 x8 ~ 7.9 GB/s effective). */
     Tick dmaPerByte = ps(127);
-    /**
-     * Extra per-element chaining cost inside one coalesced descriptor
-     * burst: each chained descriptor after the first adds a descriptor-
-     * table fetch, far cheaper than a fresh dmaSetup. Only charged when
-     * descriptor batching is enabled.
-     */
-    Tick dmaChainPerDescriptor = ns(150);
-    /**
-     * How long the driver holds a staged migration descriptor open for
-     * more same-device descriptors before ringing the doorbell, when
-     * descriptor batching is enabled. Storm-load submissions arriving
-     * inside the window coalesce into one DMA burst and one doorbell
-     * write; under light load the window just adds up to this much
-     * latency per crossing (batching is opt-in for exactly this reason).
-     */
-    Tick dmaBatchWindow = us(15);
     /** MSI interrupt delivery latency, device to host core. */
     Tick irqDelivery = ns(900);
     /**
@@ -166,19 +150,6 @@ struct TimingConfig
     dmaTransfer(std::uint64_t bytes) const
     {
         return dmaSetup + bytes * dmaPerByte;
-    }
-
-    /**
-     * Cost of one coalesced burst of @p descs chained descriptors
-     * totalling @p bytes: one setup, one chain fetch per extra
-     * descriptor, and the wire time. With descs == 1 this is exactly
-     * dmaTransfer(bytes).
-     */
-    Tick
-    dmaBurstTransfer(unsigned descs, std::uint64_t bytes) const
-    {
-        return dmaSetup + (descs > 0 ? descs - 1 : 0) * dmaChainPerDescriptor
-               + bytes * dmaPerByte;
     }
 };
 

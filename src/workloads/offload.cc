@@ -39,7 +39,7 @@ OffloadRunner::call(VAddr target, const std::vector<std::uint64_t> &args,
     _sys.advanceTime(nxp_clk.cycles(t.nxpDescriptorCycles) +
                      t.nxpToNxpDram);
 
-    Rv64Core &core = _sys.nxpCore();
+    Rv64Core &core = _sys.debug().nxpCore();
     core.mmu().setCr3(_process.image.cr3);
     core.setStackPointer(_nxpStack & ~std::uint64_t(15));
     core.setupCall(target, args);

@@ -160,7 +160,7 @@ TEST_P(CallGraphFuzz, MatchesGoldenModelAcrossTwoDevices)
     }
 
     SystemConfig cfg;
-    cfg.enableSecondNxp();
+    cfg.withDevices(2);
     FlickSystem sys(cfg);
     Program prog;
     if (!host_src.empty())

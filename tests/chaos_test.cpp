@@ -112,7 +112,7 @@ RunResult
 runWorkload(Workload w, SystemConfig config)
 {
     if (w == Workload::multiNxp)
-        config.enableSecondNxp();
+        config.withDevices(2);
     FlickSystem sys(config);
     Program prog;
     workloads::addMicrobench(prog);
@@ -309,7 +309,7 @@ TEST(ChaosStats, PerDeviceCountersSumToTotals)
     // see traffic, then check the _dev# split adds up.
     RunResult r;
     SystemConfig config = SystemConfig{}.withChaos(testChaos(7));
-    config.enableSecondNxp();
+    config.withDevices(2);
     FlickSystem sys(config);
     Program prog;
     workloads::addMicrobench(prog);

@@ -71,7 +71,7 @@ class ConcurrentCallTest : public ::testing::Test
 TEST_F(ConcurrentCallTest, SubmitReturnsBeforeCompletion)
 {
     boot();
-    CallFuture f = sys->submit(*proc, "nxp_add", {40, 2});
+    CallFuture f = sys->submit(*proc, CallSpec("nxp_add").withArgs({40, 2}));
     EXPECT_TRUE(f.valid());
     EXPECT_FALSE(f.done()); // no simulated time has passed yet
     EXPECT_EQ(f.wait(), 42u);
@@ -82,9 +82,12 @@ TEST_F(ConcurrentCallTest, SubmitReturnsBeforeCompletion)
 TEST_F(ConcurrentCallTest, SequentialSubmitsOnOneThread)
 {
     boot();
-    EXPECT_EQ(sys->submit(*proc, "nxp_add", {1, 2}).wait(), 3u);
-    EXPECT_EQ(sys->submit(*proc, "host_add", {3, 4}).wait(), 7u);
-    EXPECT_EQ(sys->submit(*proc, "nxp_sum6", {1, 2, 3, 4, 5, 6}).wait(),
+    EXPECT_EQ(sys->submit(*proc, CallSpec("nxp_add")
+                                     .withArgs({1, 2})).wait(), 3u);
+    EXPECT_EQ(sys->submit(*proc, CallSpec("host_add")
+                                     .withArgs({3, 4})).wait(), 7u);
+    EXPECT_EQ(sys->submit(*proc, CallSpec("nxp_sum6")
+                                     .withArgs({1, 2, 3, 4, 5, 6})).wait(),
               21u);
 }
 
@@ -95,9 +98,10 @@ TEST_F(ConcurrentCallTest, FourThreadsOverlapOnOneDevice)
 
     // Warm the main thread's NxP stack, then measure one thread doing
     // the 8-round-trip loop serially.
-    sys->submit(*proc, "nxp_noop").wait();
+    sys->submit(*proc, CallSpec("nxp_noop")).wait();
     Tick t0 = sys->now();
-    EXPECT_EQ(sys->submit(*proc, "host_calls_nxp", {trips}).wait(), 0u);
+    EXPECT_EQ(sys->submit(*proc, CallSpec("host_calls_nxp")
+                                     .withArgs({trips})).wait(), 0u);
     Tick serial = sys->now() - t0;
     ASSERT_GT(serial, 0u);
 
@@ -113,10 +117,17 @@ TEST_F(ConcurrentCallTest, FourThreadsOverlapOnOneDevice)
 
     t0 = sys->now();
     std::vector<CallFuture> futures;
-    futures.push_back(sys->submit(*proc, "host_calls_nxp", {trips}));
-    futures.push_back(sys->submit(*proc, t1, "host_calls_nxp", {trips}));
-    futures.push_back(sys->submit(*proc, t2, "host_calls_nxp", {trips}));
-    futures.push_back(sys->submit(*proc, t3, "host_calls_nxp", {trips}));
+    futures.push_back(sys->submit(*proc, CallSpec("host_calls_nxp")
+                                             .withArgs({trips})));
+    futures.push_back(sys->submit(*proc, CallSpec("host_calls_nxp")
+                                             .withArgs({trips})
+                                             .onThread(t1)));
+    futures.push_back(sys->submit(*proc, CallSpec("host_calls_nxp")
+                                             .withArgs({trips})
+                                             .onThread(t2)));
+    futures.push_back(sys->submit(*proc, CallSpec("host_calls_nxp")
+                                             .withArgs({trips})
+                                             .onThread(t3)));
     for (CallFuture &f : futures)
         EXPECT_EQ(f.wait(), 0u);
     Tick concurrent = sys->now() - t0;
@@ -139,10 +150,17 @@ TEST_F(ConcurrentCallTest, PerThreadJournalKeepsFigure2Order)
 
     sys->debug().engine().enableJournal();
     std::vector<CallFuture> futures;
-    futures.push_back(sys->submit(*proc, "nxp_add", {1, 10}));
-    futures.push_back(sys->submit(*proc, t1, "nxp_add", {2, 10}));
-    futures.push_back(sys->submit(*proc, t2, "nxp_add", {3, 10}));
-    futures.push_back(sys->submit(*proc, t3, "nxp_add", {4, 10}));
+    futures.push_back(sys->submit(*proc, CallSpec("nxp_add")
+                                             .withArgs({1, 10})));
+    futures.push_back(sys->submit(*proc, CallSpec("nxp_add")
+                                             .withArgs({2, 10})
+                                             .onThread(t1)));
+    futures.push_back(sys->submit(*proc, CallSpec("nxp_add")
+                                             .withArgs({3, 10})
+                                             .onThread(t2)));
+    futures.push_back(sys->submit(*proc, CallSpec("nxp_add")
+                                             .withArgs({4, 10})
+                                             .onThread(t3)));
     for (std::size_t i = 0; i < futures.size(); ++i)
         EXPECT_EQ(futures[i].wait(), 11 + i);
 
@@ -180,8 +198,11 @@ TEST_F(ConcurrentCallTest, NestedCallsInterleaveAcrossThreads)
 
     // One thread runs cross-ISA mutual recursion while another bounces
     // NxP->host round trips; both nest through the same device.
-    CallFuture fact = sys->submit(*proc, "host_fact_nxp", {6});
-    CallFuture bounce = sys->submit(*proc, t1, "nxp_calls_host", {4});
+    CallFuture fact = sys->submit(*proc, CallSpec("host_fact_nxp")
+                                             .withArgs({6}));
+    CallFuture bounce = sys->submit(*proc, CallSpec("nxp_calls_host")
+                                               .withArgs({4})
+                                               .onThread(t1));
     EXPECT_EQ(fact.wait(), 720u);
     EXPECT_EQ(bounce.wait(), 0u);
 
@@ -199,20 +220,25 @@ TEST_F(ConcurrentCallTest, TwoDevicesRunTrulyInParallel)
     constexpr std::uint64_t iters = 20000;
 
     // Warm both threads' stacks, then measure each spin serially.
-    sys->submit(*proc, "nxp_noop").wait();
-    sys->submit(*proc, t1, "dev1_noop").wait();
+    sys->submit(*proc, CallSpec("nxp_noop")).wait();
+    sys->submit(*proc, CallSpec("dev1_noop").onThread(t1)).wait();
     Tick t0 = sys->now();
-    sys->submit(*proc, "nxp_noop_loop", {iters}).wait();
+    sys->submit(*proc, CallSpec("nxp_noop_loop").withArgs({iters})).wait();
     Tick serial0 = sys->now() - t0;
     t0 = sys->now();
-    sys->submit(*proc, t1, "dev1_spin", {iters}).wait();
+    sys->submit(*proc, CallSpec("dev1_spin")
+                           .withArgs({iters})
+                           .onThread(t1)).wait();
     Tick serial1 = sys->now() - t0;
 
     // Concurrently the spins run on different devices, so the batch
     // takes about the longer spin, not the sum.
     t0 = sys->now();
-    CallFuture f0 = sys->submit(*proc, "nxp_noop_loop", {iters});
-    CallFuture f1 = sys->submit(*proc, t1, "dev1_spin", {iters});
+    CallFuture f0 = sys->submit(*proc, CallSpec("nxp_noop_loop")
+                                           .withArgs({iters}));
+    CallFuture f1 = sys->submit(*proc, CallSpec("dev1_spin")
+                                           .withArgs({iters})
+                                           .onThread(t1));
     EXPECT_EQ(f0.wait(), iters); // nxp_noop_loop returns its argument
     EXPECT_EQ(f1.wait(), 0u);
     Tick concurrent = sys->now() - t0;
@@ -231,8 +257,12 @@ TEST_F(ConcurrentCallTest, ExitThreadReturnsNxpStacksToTheHeap)
 
     Task &t1 = sys->spawnThread(*proc);
     Task &t2 = sys->spawnThread(*proc);
-    EXPECT_EQ(sys->submit(*proc, t1, "nxp_add", {1, 1}).wait(), 2u);
-    EXPECT_EQ(sys->submit(*proc, t2, "nxp_add", {2, 2}).wait(), 4u);
+    EXPECT_EQ(sys->submit(*proc, CallSpec("nxp_add")
+                                     .withArgs({1, 1})
+                                     .onThread(t1)).wait(), 2u);
+    EXPECT_EQ(sys->submit(*proc, CallSpec("nxp_add")
+                                     .withArgs({2, 2})
+                                     .onThread(t2)).wait(), 4u);
     EXPECT_GT(heap.allocatedBytes(), baseline);
 
     sys->exitThread(t1);
@@ -242,7 +272,7 @@ TEST_F(ConcurrentCallTest, ExitThreadReturnsNxpStacksToTheHeap)
 
     // Releasing the main thread's stack too drains the heap completely:
     // nothing leaks across thread lifetimes.
-    sys->submit(*proc, "nxp_noop").wait();
+    sys->submit(*proc, CallSpec("nxp_noop")).wait();
     sys->debug().engine().releaseNxpStacks(*proc->task);
     EXPECT_EQ(heap.allocatedBytes(), 0u);
 }
@@ -257,8 +287,12 @@ TEST_F(ConcurrentCallTest, SpawnedThreadStacksAreIsolated)
     EXPECT_NE(t1.hostStackTop, proc->task->hostStackTop);
 
     // Both threads can run host work on their own stacks concurrently.
-    CallFuture a = sys->submit(*proc, t1, "host_fact_nxp", {5});
-    CallFuture b = sys->submit(*proc, t2, "host_fact_nxp", {7});
+    CallFuture a = sys->submit(*proc, CallSpec("host_fact_nxp")
+                                          .withArgs({5})
+                                          .onThread(t1));
+    CallFuture b = sys->submit(*proc, CallSpec("host_fact_nxp")
+                                          .withArgs({7})
+                                          .onThread(t2));
     EXPECT_EQ(a.wait(), 120u);
     EXPECT_EQ(b.wait(), 5040u);
 

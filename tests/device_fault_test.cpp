@@ -284,15 +284,16 @@ TEST(HostFallback, MidCallDeviceLossFailsOverBitIdentically)
     // First call: descriptor fired at a dead device -> heartbeat
     // quarantine -> rescued mid-flight by the host twin.
     std::vector<std::uint64_t> got;
-    CallFuture f = sys->submit(*proc, "nxp_add", {7, 35});
+    CallFuture f = sys->submit(*proc, CallSpec("nxp_add").withArgs({7, 35}));
     got.push_back(f.wait());
     EXPECT_EQ(f.status(), CallStatus::ok);
     // Subsequent calls: rejected at the NX fault and re-pointed at the
     // twin inline.
-    CallFuture g = sys->submit(*proc, "nxp_sum6", {1, 2, 3, 4, 5, 6});
+    CallFuture g = sys->submit(*proc, CallSpec("nxp_sum6")
+                                          .withArgs({1, 2, 3, 4, 5, 6}));
     got.push_back(g.wait());
     EXPECT_EQ(g.status(), CallStatus::ok);
-    CallFuture h = sys->submit(*proc, "nxp_noop", {});
+    CallFuture h = sys->submit(*proc, CallSpec("nxp_noop"));
     got.push_back(h.wait());
     EXPECT_EQ(h.status(), CallStatus::ok);
 
@@ -313,7 +314,7 @@ TEST(HostFallback, NoTwinRegisteredStillFailsTheCall)
         SystemConfig{}.withHostFallback().withHealthStrikeLimit(1),
         false);
     sys->debug().engine().killDevice(0);
-    CallFuture f = sys->submit(*proc, "nxp_add", {1, 2});
+    CallFuture f = sys->submit(*proc, CallSpec("nxp_add").withArgs({1, 2}));
     f.wait();
     EXPECT_EQ(f.status(), CallStatus::deviceLost);
     EXPECT_EQ(sys->debug().engine().stats().get("failovers"), 0u);
@@ -356,7 +357,7 @@ TEST(DeviceFaultOff, StatsDumpCarriesPerDeviceEndpointCounters)
     auto [sys, proc] = makeSystem(
         SystemConfig{}.withHostFallback().withHealthStrikeLimit(1), true);
     sys->debug().engine().killDevice(0);
-    CallFuture f = sys->submit(*proc, "nxp_add", {7, 35});
+    CallFuture f = sys->submit(*proc, CallSpec("nxp_add").withArgs({7, 35}));
     EXPECT_EQ(f.wait(), 42u);
     std::ostringstream os;
     sys->dumpStats(os);

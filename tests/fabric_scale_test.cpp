@@ -1,15 +1,11 @@
 /**
  * @file
- * The N-device migration fabric, descriptor batching and admission
- * control (DESIGN.md §12).
+ * The N-device migration fabric (DESIGN.md §12).
  *
  * Covers the contract that makes the fabric generalization safe to
- * ship: any device count boots and runs correctly; batching and
- * admission control are strictly opt-in (a run with both disabled is
- * tick-for-tick identical to the default config at every fabric size,
- * and their counters stay zero); batching changes when descriptors
- * move, never what calls compute; admission control sheds at submit
- * time with CallStatus::shedLoad once every live device is at its cap;
+ * ship: any device count boots, runs and renders its statistics; every
+ * device is reachable through the debug harness and the instruction
+ * trace, and asking for a device the platform lacks dies cleanly;
  * placement hints steer first dispatch; and an 8-device fabric routes
  * around a quarantined member.
  */
@@ -76,46 +72,6 @@ statsDump(FlickSystem &sys)
     return os.str();
 }
 
-// --- Tick identity: both features off == default, at every N ------------
-
-TEST(FabricScale, DisabledFeaturesAreTickIdenticalAtEveryWidth)
-{
-    for (unsigned n : {1u, 2u, 4u, 8u}) {
-        Tick ref = 0;
-        std::string ref_stats;
-        {
-            auto [sys, proc] = makeFabric(SystemConfig{}, n);
-            ref = runHotStorm(*sys, *proc, 4, 300);
-            ref_stats = statsDump(*sys);
-            delete sys;
-        }
-        {
-            auto [sys, proc] = makeFabric(SystemConfig{}
-                                              .withBatching(false)
-                                              .withAdmissionControl(0),
-                                          n);
-            EXPECT_EQ(runHotStorm(*sys, *proc, 4, 300), ref)
-                << n << " devices";
-            EXPECT_EQ(statsDump(*sys), ref_stats) << n << " devices";
-            delete sys;
-        }
-    }
-}
-
-TEST(FabricScale, FeatureCountersZeroWhenOff)
-{
-    auto [sys, proc] = makeFabric(SystemConfig{}, 2);
-    runHotStorm(*sys, *proc, 4, 300);
-    const StatGroup &st = sys->debug().engine().stats();
-    EXPECT_EQ(st.get("batch.bursts"), 0u);
-    EXPECT_EQ(st.get("batch.coalesced"), 0u);
-    EXPECT_EQ(st.get("batch.descs_per_burst_max"), 0u);
-    EXPECT_EQ(st.get("admission.shed"), 0u);
-    // The unbatched path still counts one doorbell per descriptor.
-    EXPECT_GT(st.get("doorbell_writes"), 0u);
-    delete sys;
-}
-
 // --- Arbitrary fabric widths behave and render ---------------------------
 
 TEST(FabricScale, EightDeviceFabricSpreadsUnderLeastLoaded)
@@ -133,6 +89,8 @@ TEST(FabricScale, EightDeviceFabricSpreadsUnderLeastLoaded)
     }
     EXPECT_EQ(total, 8u);
     EXPECT_GE(used, 4u) << "storm stayed clumped on few devices";
+    // Every h2d descriptor rings its own doorbell.
+    EXPECT_GT(st.get("doorbell_writes"), 0u);
     delete sys;
 }
 
@@ -147,107 +105,44 @@ TEST(FabricScale, DumpStatsRendersEveryDevice)
     delete sys;
 }
 
-// --- Descriptor batching -------------------------------------------------
+// --- Every device sits behind the same accessors -------------------------
 
-TEST(FabricBatching, BitIdenticalResultsFewerDoorbells)
+TEST(FabricDevices, InstructionTraceCoversEveryDevice)
 {
-    std::vector<std::uint64_t> plain_values, batched_values;
-    std::uint64_t plain_doorbells = 0, batched_doorbells = 0;
-    std::uint64_t bursts = 0, coalesced = 0, max_burst = 0;
+    auto [sys, proc] = makeFabric(SystemConfig{}, 2);
+    std::ostringstream trace;
+    sys->enableInstructionTrace(&trace);
+    CallFuture f = sys->submit(*proc, CallSpec("mix_hot")
+                                          .withArgs({3, 20})
+                                          .withPlacementHint(1));
+    EXPECT_EQ(f.wait(), workloads::mixHotRef(3, 20));
+    sys->enableInstructionTrace(nullptr);
+    EXPECT_EQ(sys->debug().engine().stats().get("host_to_nxp_calls_dev1"),
+              1u);
 
-    for (bool batching : {false, true}) {
-        auto [sys, proc] = makeFabric(
-            SystemConfig{}.withBatching(batching), 1);
-        std::vector<Task *> tasks;
-        std::vector<CallFuture> futs;
-        for (unsigned i = 0; i < 6; ++i)
-            tasks.push_back(&sys->spawnThread(*proc));
-        for (unsigned w = 0; w < 3; ++w) {
-            futs.clear();
-            for (unsigned i = 0; i < 6; ++i)
-                futs.push_back(
-                    sys->submit(*proc, CallSpec("mix_hot")
-                                           .withArgs({w * 6 + i + 1, 200})
-                                           .onThread(*tasks[i])));
-            for (auto &f : futs) {
-                EXPECT_EQ(f.wait() != 0, true);
-                EXPECT_EQ(f.status(), CallStatus::ok);
-                (batching ? batched_values : plain_values)
-                    .push_back(f.value());
-            }
-        }
-        const StatGroup &st = sys->debug().engine().stats();
-        (batching ? batched_doorbells : plain_doorbells) =
-            st.get("doorbell_writes");
-        if (batching) {
-            bursts = st.get("batch.bursts");
-            coalesced = st.get("batch.coalesced");
-            max_burst = st.get("batch.descs_per_burst_max");
-        } else {
-            EXPECT_EQ(st.get("batch.bursts"), 0u);
-            EXPECT_EQ(st.get("batch.coalesced"), 0u);
-        }
-        delete sys;
-    }
-
-    // What the calls compute must not depend on how descriptors ship.
-    EXPECT_EQ(plain_values, batched_values);
-    // How they ship must differ: the storm coalesces.
-    EXPECT_GT(bursts, 0u);
-    EXPECT_GT(coalesced, 0u);
-    EXPECT_GE(max_burst, 2u);
-    EXPECT_LT(batched_doorbells, plain_doorbells);
-    EXPECT_EQ(batched_doorbells + coalesced, plain_doorbells)
-        << "every coalesced descriptor saves exactly one doorbell";
-}
-
-// --- Admission control ---------------------------------------------------
-
-TEST(FabricAdmission, ShedsAtSubmitWhenEveryDeviceIsAtCap)
-{
-    auto [sys, proc] = makeFabric(SystemConfig{}
-                                      .withRingSlots(2)
-                                      .withAdmissionControl(1),
-                                  1);
-    Task &t1 = sys->spawnThread(*proc);
-    Task &t2 = sys->spawnThread(*proc);
-
-    // A long-occupancy call fills device 0's single admission slot.
-    CallFuture busy = sys->submit(
-        *proc, CallSpec("mix_cold").withArgs({7, 20000}).onThread(t1));
-    sys->advanceTime(us(50)); // let its descriptor reach the device
-
-    // The fabric is saturated: this call is shed at submit time,
-    // without consuming a ring slot or a simulated tick.
-    Tick before = sys->now();
-    CallFuture shed = sys->submit(
-        *proc, CallSpec("mix_hot").withArgs({1, 100}).onThread(t2));
-    EXPECT_TRUE(shed.done());
-    EXPECT_EQ(shed.status(), CallStatus::shedLoad);
-    EXPECT_EQ(shed.value(), 0u);
-    EXPECT_EQ(sys->now(), before);
-    EXPECT_GE(sys->debug().engine().stats().get("admission.shed"), 1u);
-
-    // The in-flight call is unharmed, and capacity frees with it.
-    EXPECT_EQ(busy.wait(), workloads::mixHotRef(7, 20000));
-    CallFuture after = sys->submit(
-        *proc, CallSpec("mix_hot").withArgs({1, 100}).onThread(t2));
-    EXPECT_EQ(after.wait(), workloads::mixHotRef(1, 100));
-    EXPECT_EQ(after.status(), CallStatus::ok);
+    // Lines are labelled by core name: the host, then device 1's core.
+    std::string text = trace.str();
+    EXPECT_NE(text.find("  host "), std::string::npos);
+    EXPECT_NE(text.find("  nxp2 "), std::string::npos)
+        << "device 1's core is missing from the instruction trace";
     delete sys;
 }
 
-TEST(FabricAdmission, IdleFabricNeverSheds)
+TEST(FabricDevicesDeathTest, OutOfRangeDeviceDies)
 {
-    auto [sys, proc] =
-        makeFabric(SystemConfig{}.withAdmissionControl(1), 2);
-    for (unsigned i = 0; i < 4; ++i) {
-        CallFuture f = sys->submit(
-            *proc, CallSpec("mix_hot").withArgs({i + 1, 100}));
-        EXPECT_EQ(f.wait(), workloads::mixHotRef(i + 1, 100));
-        EXPECT_EQ(f.status(), CallStatus::ok);
-    }
-    EXPECT_EQ(sys->debug().engine().stats().get("admission.shed"), 0u);
+    auto [sys, proc] = makeFabric(SystemConfig{}, 2);
+    FlickSystem::Debug debug = sys->debug();
+    EXPECT_DEATH(debug.nxpCore(2), "no NxP device 2");
+    EXPECT_DEATH(debug.nxpPlatform(2), "no NxP device 2");
+    EXPECT_DEATH(debug.dma(2), "no NxP device 2");
+    EXPECT_DEATH(debug.nxpHeap(2), "no NxP device 2");
+    EXPECT_DEATH(sys->nxpMalloc(64, 16, 2), "no NxP device 2");
+    // The last device is in range, its components named after it.
+    EXPECT_EQ(debug.nxpCore(1).name(), "nxp2");
+    EXPECT_EQ(debug.nxpPlatform(1).stats().name(), "nxp2_platform");
+    EXPECT_EQ(debug.dma(1).stats().name(), "dma2");
+    EXPECT_EQ(debug.nxpCore(0).name(), "nxp");
+    EXPECT_EQ(debug.dma(0).stats().name(), "dma");
     delete sys;
 }
 

@@ -39,17 +39,18 @@ TEST_F(RuntimeTest, HostOnlyCallDoesNotMigrate)
 {
     boot();
     EXPECT_EQ(sys->call(*proc, "host_add", {20, 22}), 42u);
-    EXPECT_EQ(sys->engine().stats().get("host_to_nxp_calls"), 0u);
-    EXPECT_EQ(sys->kernel().stats().get("nx_faults"), 0u);
+    EXPECT_EQ(sys->debug().engine().stats().get("host_to_nxp_calls"), 0u);
+    EXPECT_EQ(sys->debug().kernel().stats().get("nx_faults"), 0u);
 }
 
 TEST_F(RuntimeTest, CrossIsaCallMigratesAndReturns)
 {
     boot();
     EXPECT_EQ(sys->call(*proc, "nxp_add", {40, 2}), 42u);
-    EXPECT_EQ(sys->engine().stats().get("host_to_nxp_calls"), 1u);
-    EXPECT_EQ(sys->engine().stats().get("host_nxp_host_roundtrips"), 1u);
-    EXPECT_EQ(sys->kernel().stats().get("nx_faults"), 1u);
+    EXPECT_EQ(sys->debug().engine().stats().get("host_to_nxp_calls"), 1u);
+    EXPECT_EQ(
+        sys->debug().engine().stats().get("host_nxp_host_roundtrips"), 1u);
+    EXPECT_EQ(sys->debug().kernel().stats().get("nx_faults"), 1u);
     EXPECT_EQ(proc->task->migrations, 1u);
 }
 
@@ -80,14 +81,14 @@ TEST_F(RuntimeTest, FirstMigrationAllocatesStackOnce)
     sys->call(*proc, "nxp_noop");
     sys->call(*proc, "nxp_noop");
     EXPECT_EQ(proc->task->nxpStackTop[0], stack); // reused
-    EXPECT_EQ(sys->engine().stats().get("nxp_stacks_allocated"), 1u);
+    EXPECT_EQ(sys->debug().engine().stats().get("nxp_stacks_allocated"), 1u);
 }
 
 TEST_F(RuntimeTest, NestedHostCallsNxp)
 {
     boot();
     EXPECT_EQ(sys->call(*proc, "host_mul_via_nxp", {10, 11}), 42u);
-    EXPECT_EQ(sys->engine().stats().get("host_to_nxp_calls"), 1u);
+    EXPECT_EQ(sys->debug().engine().stats().get("host_to_nxp_calls"), 1u);
 }
 
 TEST_F(RuntimeTest, NxpCallsHostAndBack)
@@ -95,9 +96,10 @@ TEST_F(RuntimeTest, NxpCallsHostAndBack)
     boot();
     // 5 NxP->host round trips inside one host->NxP call.
     EXPECT_EQ(sys->call(*proc, "nxp_calls_host", {5}), 0u);
-    EXPECT_EQ(sys->engine().stats().get("host_to_nxp_calls"), 1u);
-    EXPECT_EQ(sys->engine().stats().get("nxp_to_host_calls"), 5u);
-    EXPECT_EQ(sys->engine().stats().get("nxp_host_nxp_roundtrips"), 5u);
+    EXPECT_EQ(sys->debug().engine().stats().get("host_to_nxp_calls"), 1u);
+    EXPECT_EQ(sys->debug().engine().stats().get("nxp_to_host_calls"), 5u);
+    EXPECT_EQ(
+        sys->debug().engine().stats().get("nxp_host_nxp_roundtrips"), 5u);
 }
 
 TEST_F(RuntimeTest, MutualCrossIsaRecursion)
@@ -115,7 +117,7 @@ TEST_F(RuntimeTest, RepeatedCallsAreStable)
         ASSERT_EQ(sys->call(*proc, "nxp_add",
                             {static_cast<std::uint64_t>(i), 1}),
                   static_cast<std::uint64_t>(i) + 1);
-    EXPECT_EQ(sys->engine().stats().get("host_to_nxp_calls"), 50u);
+    EXPECT_EQ(sys->debug().engine().stats().get("host_to_nxp_calls"), 50u);
 }
 
 TEST_F(RuntimeTest, DescriptorBytesTravelThroughMemory)
@@ -124,9 +126,9 @@ TEST_F(RuntimeTest, DescriptorBytesTravelThroughMemory)
     sys->call(*proc, "nxp_add", {0x1234, 0x5678});
     // The call descriptor must still be visible in the NxP inbox slot.
     std::array<std::uint8_t, MigrationDescriptor::wireBytes> w{};
-    Addr off = sys->nxpPlatform().inboxLocalPa() -
+    Addr off = sys->debug().nxpPlatform().inboxLocalPa() -
                sys->config().platform.nxpDramLocalBase;
-    sys->mem().nxpDram().read(off, w.data(), w.size());
+    sys->debug().mem().nxpDram().read(off, w.data(), w.size());
     MigrationDescriptor d = MigrationDescriptor::fromWire(w);
     EXPECT_EQ(d.kind, DescriptorKind::hostToNxpCall);
     EXPECT_EQ(d.target, proc->image.symbol("nxp_add"));
@@ -145,7 +147,7 @@ TEST_F(RuntimeTest, RaceRegressionDescriptorAfterSuspend)
     // task must already be off the host core.
     boot();
     Task *task = proc->task;
-    NxpPlatform &platform = sys->nxpPlatform();
+    NxpPlatform &platform = sys->debug().nxpPlatform();
     int observed = 0;
     bool ok = true;
     std::function<void()> probe = [&] {
@@ -154,15 +156,15 @@ TEST_F(RuntimeTest, RaceRegressionDescriptorAfterSuspend)
             ok = ok && task->state == TaskState::onNxp;
         }
         if (sys->now() < msec(10))
-            sys->events().scheduleIn(ns(100), "probe", probe);
+            sys->debug().events().scheduleIn(ns(100), "probe", probe);
     };
-    sys->events().schedule(0, "probe", probe);
+    sys->debug().events().schedule(0, "probe", probe);
     sys->call(*proc, "nxp_noop");
     EXPECT_GT(observed, 0);
     EXPECT_TRUE(ok) << "descriptor visible before the host suspended";
     // And the kernel fired exactly one DMA trigger per suspension.
-    EXPECT_EQ(sys->kernel().stats().get("dma_triggers"),
-              sys->kernel().stats().get("suspensions"));
+    EXPECT_EQ(sys->debug().kernel().stats().get("dma_triggers"),
+              sys->debug().kernel().stats().get("suspensions"));
 }
 
 TEST_F(RuntimeTest, ExtraLatencyKnobSlowsRoundTrips)
@@ -197,8 +199,8 @@ TEST_F(RuntimeTest, TaskStateRestoredAfterCall)
     boot();
     sys->call(*proc, "nxp_noop");
     EXPECT_EQ(proc->task->state, TaskState::running);
-    EXPECT_EQ(sys->kernel().stats().get("suspensions"),
-              sys->kernel().stats().get("resumes"));
+    EXPECT_EQ(sys->debug().kernel().stats().get("suspensions"),
+              sys->debug().kernel().stats().get("resumes"));
 }
 
 /** Tests with native-bridge functions in the program. */
@@ -255,7 +257,7 @@ TEST_F(NativeBridgeTest, NativeHostFnFromHost)
     boot();
     EXPECT_EQ(sys->call(*proc, "native_host_sum", {1, 2, 3}), 6u);
     EXPECT_EQ(hostCalls, 1);
-    EXPECT_EQ(sys->engine().stats().get("host_to_nxp_calls"), 0u);
+    EXPECT_EQ(sys->debug().engine().stats().get("host_to_nxp_calls"), 0u);
 }
 
 TEST_F(NativeBridgeTest, NativeHostFnFromNxpMigrates)
@@ -264,8 +266,8 @@ TEST_F(NativeBridgeTest, NativeHostFnFromNxpMigrates)
     EXPECT_EQ(sys->call(*proc, "nxp_calls_native", {4, 5, 6}), 15u);
     EXPECT_EQ(hostCalls, 1);
     // One host->NxP call plus the nested NxP->host call.
-    EXPECT_EQ(sys->engine().stats().get("host_to_nxp_calls"), 1u);
-    EXPECT_EQ(sys->engine().stats().get("nxp_to_host_calls"), 1u);
+    EXPECT_EQ(sys->debug().engine().stats().get("host_to_nxp_calls"), 1u);
+    EXPECT_EQ(sys->debug().engine().stats().get("nxp_to_host_calls"), 1u);
 }
 
 TEST_F(NativeBridgeTest, NativeNxpFnFromHostMigrates)
@@ -274,7 +276,7 @@ TEST_F(NativeBridgeTest, NativeNxpFnFromHostMigrates)
     EXPECT_EQ(sys->call(*proc, "host_calls_native_nxp", {0xff, 0x0f}),
               0xf0u);
     EXPECT_EQ(nxpCalls, 1);
-    EXPECT_EQ(sys->engine().stats().get("host_to_nxp_calls"), 1u);
+    EXPECT_EQ(sys->debug().engine().stats().get("host_to_nxp_calls"), 1u);
 }
 
 TEST_F(NativeBridgeTest, NativeMemoryAccess)
@@ -303,7 +305,7 @@ TEST_F(RuntimeTest, HeapAllocatorsUseDistinctRegions)
     EXPECT_GE(n, layout::nxpWindowBase);
     // Host writes through BAR land in NxP DRAM (unified address space).
     sys->writeVa(*proc, n, 0xabcdef);
-    auto tr = sys->pageTables().translate(proc->image.cr3, n);
+    auto tr = sys->debug().pageTables().translate(proc->image.cr3, n);
     ASSERT_TRUE(tr);
     EXPECT_TRUE(sys->config().platform.inBar0(tr->pa));
 }

@@ -91,7 +91,7 @@ WorkloadResult
 runWorkload(Workload w, SystemConfig config)
 {
     if (w == Workload::multiNxp)
-        config.enableSecondNxp();
+        config.withDevices(2);
     FlickSystem sys(config);
     Program prog;
     workloads::addMicrobench(prog);

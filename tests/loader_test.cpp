@@ -130,17 +130,18 @@ TEST_F(LoaderTest, NxpWindowMappedWithHugePages)
     LinkedImage img = makeImage();
     LoadedProgram prog = loader.load(img);
 
-    ASSERT_EQ(prog.nxpWindowBase, layout::nxpWindowBase);
-    ASSERT_EQ(prog.nxpWindowBytes, platform.nxpDramBytes);
+    ASSERT_EQ(prog.nxpWindows.size(), 1u);
+    ASSERT_EQ(prog.nxpWindows[0], layout::nxpWindowBase);
+    ASSERT_EQ(prog.nxpWindowSizes[0], platform.nxpDramBytes);
 
-    auto w = ptm.translate(prog.cr3, prog.nxpWindowBase + 0x12345);
+    auto w = ptm.translate(prog.cr3, prog.nxpWindows[0] + 0x12345);
     ASSERT_TRUE(w);
     EXPECT_EQ(w->size, PageSize::size1G);
     EXPECT_EQ(w->pa, platform.bar0Base + 0x12345);
 
     // Last byte of the window.
     auto end = ptm.translate(
-        prog.cr3, prog.nxpWindowBase + platform.nxpDramBytes - 1);
+        prog.cr3, prog.nxpWindows[0] + platform.nxpDramBytes - 1);
     ASSERT_TRUE(end);
     EXPECT_EQ(end->pa, platform.bar0Base + platform.nxpDramBytes - 1);
 }
@@ -151,7 +152,7 @@ TEST_F(LoaderTest, WindowPageSizeOption)
     LoadOptions opt;
     opt.nxpWindowPageSize = PageSize::size2M;
     LoadedProgram prog = loader.load(img, opt);
-    auto w = ptm.translate(prog.cr3, prog.nxpWindowBase);
+    auto w = ptm.translate(prog.cr3, prog.nxpWindows[0]);
     ASSERT_TRUE(w);
     EXPECT_EQ(w->size, PageSize::size2M);
 }
@@ -162,6 +163,7 @@ TEST_F(LoaderTest, WindowCanBeDisabled)
     LoadOptions opt;
     opt.mapNxpWindow = false;
     LoadedProgram prog = loader.load(img, opt);
+    EXPECT_TRUE(prog.nxpWindows.empty());
     EXPECT_FALSE(
         ptm.translate(prog.cr3, layout::nxpWindowBase).has_value());
 }

@@ -22,7 +22,7 @@ class MultiNxpTest : public ::testing::Test
     void
     boot()
     {
-        config.enableSecondNxp();
+        config.withDevices(2);
         sys = std::make_unique<FlickSystem>(config);
         Program prog;
         workloads::addMicrobench(prog); // NxP parts target device 0
@@ -68,14 +68,14 @@ TEST_F(MultiNxpTest, HostCallsEitherDevice)
     EXPECT_EQ(sys->call(*proc, "nxp_add", {1, 2}), 3u);     // device 0
     EXPECT_EQ(sys->call(*proc, "dev1_add", {3, 4}), 7u);    // device 1
     EXPECT_EQ(sys->call(*proc, "dev1_scale", {5}), 20u);
-    EXPECT_EQ(sys->engine().stats().get("host_to_nxp_calls"), 3u);
+    EXPECT_EQ(sys->debug().engine().stats().get("host_to_nxp_calls"), 3u);
 }
 
 TEST_F(MultiNxpTest, IsaTagsDistinguishDevices)
 {
     boot();
     auto tag_of = [&](const char *symbol) {
-        auto tr = sys->pageTables().translate(
+        auto tr = sys->debug().pageTables().translate(
             proc->image.cr3, proc->image.symbol(symbol));
         EXPECT_TRUE(tr.has_value());
         return pte::isaTag(tr->entry);
@@ -94,8 +94,8 @@ TEST_F(MultiNxpTest, PerDeviceStacks)
     sys->call(*proc, "dev1_add", {1, 1});
     EXPECT_NE(proc->task->nxpStackTop[1], 0u);
     // Device-1 stacks live in the second window.
-    EXPECT_GE(proc->task->nxpStackTop[1], layout::nxpWindowBase2);
-    EXPECT_EQ(sys->engine().stats().get("nxp_stacks_allocated"), 2u);
+    EXPECT_GE(proc->task->nxpStackTop[1], layout::nxpWindowBaseFor(1));
+    EXPECT_EQ(sys->debug().engine().stats().get("nxp_stacks_allocated"), 2u);
 }
 
 TEST_F(MultiNxpTest, DeviceToDeviceCallForwardsThroughHost)
@@ -103,21 +103,21 @@ TEST_F(MultiNxpTest, DeviceToDeviceCallForwardsThroughHost)
     boot();
     // dev0_chain(v) = dev1_scale(v) + 1 = 4v + 1.
     EXPECT_EQ(sys->call(*proc, "dev0_chain", {10}), 41u);
-    EXPECT_EQ(sys->engine().stats().get("nxp_to_nxp_calls"), 1u);
-    EXPECT_EQ(sys->engine().stats().get("nxp_to_nxp_roundtrips"), 1u);
+    EXPECT_EQ(sys->debug().engine().stats().get("nxp_to_nxp_calls"), 1u);
+    EXPECT_EQ(sys->debug().engine().stats().get("nxp_to_nxp_roundtrips"), 1u);
     // The forward bounced through the kernel: two suspensions for the
     // outer call + forward + return-forward.
-    EXPECT_GE(sys->kernel().stats().get("suspensions"), 3u);
+    EXPECT_GE(sys->debug().kernel().stats().get("suspensions"), 3u);
 }
 
 TEST_F(MultiNxpTest, ForwardAppearsInJournal)
 {
     boot();
     sys->call(*proc, "nxp_add", {0, 0}); // allocate dev0 stack
-    sys->engine().enableJournal();
+    sys->debug().engine().enableJournal();
     sys->call(*proc, "dev0_chain", {1});
     bool saw_forward = false;
-    for (const auto &e : sys->engine().journal())
+    for (const auto &e : sys->debug().engine().journal())
         saw_forward |= e.step == ProtocolStep::hostForward;
     EXPECT_TRUE(saw_forward);
 }
@@ -128,8 +128,8 @@ TEST_F(MultiNxpTest, SecondDeviceMemoryIsSeparate)
     VAddr a0 = sys->nxpMalloc(64, 16, 0);
     VAddr a1 = sys->nxpMalloc(64, 16, 1);
     EXPECT_GE(a0, layout::nxpWindowBase);
-    EXPECT_LT(a0, layout::nxpWindowBase2);
-    EXPECT_GE(a1, layout::nxpWindowBase2);
+    EXPECT_LT(a0, layout::nxpWindowBaseFor(1));
+    EXPECT_GE(a1, layout::nxpWindowBaseFor(1));
 
     sys->writeVa(*proc, a0, 0x11);
     sys->writeVa(*proc, a1, 0x22);
@@ -137,8 +137,8 @@ TEST_F(MultiNxpTest, SecondDeviceMemoryIsSeparate)
     EXPECT_EQ(sys->readVa(*proc, a1), 0x22u);
 
     // The backing stores really are different devices' DRAM.
-    auto t0 = sys->pageTables().translate(proc->image.cr3, a0);
-    auto t1 = sys->pageTables().translate(proc->image.cr3, a1);
+    auto t0 = sys->debug().pageTables().translate(proc->image.cr3, a0);
+    auto t1 = sys->debug().pageTables().translate(proc->image.cr3, a1);
     ASSERT_TRUE(t0 && t1);
     EXPECT_TRUE(sys->config().platform.inBar0(t0->pa));
     EXPECT_TRUE(sys->config().platform.inBar2(t1->pa));
@@ -151,7 +151,7 @@ TEST_F(MultiNxpTest, DeviceReadsItsLocalMemoryFast)
     sys->writeVa(*proc, a1, 1234);
     EXPECT_EQ(sys->call(*proc, "dev1_reads", {a1}), 1234u);
     // The access went through device 1's local DRAM route.
-    EXPECT_GE(sys->mem().stats().get("nxp2_to_nxp2_dram_reads"), 1u);
+    EXPECT_GE(sys->debug().mem().stats().get("nxp2_to_nxp2_dram_reads"), 1u);
 }
 
 TEST_F(MultiNxpTest, PeerToPeerAccessRoutedOverPcie)
@@ -162,7 +162,8 @@ TEST_F(MultiNxpTest, PeerToPeerAccessRoutedOverPcie)
     VAddr a1 = sys->nxpMalloc(64, 16, 1);
     sys->writeVa(*proc, a1, 777);
     EXPECT_EQ(sys->call(*proc, "nxp_reads_ptr", {a1}), 777u);
-    EXPECT_GE(sys->mem().stats().get("nxp_peer_to_nxp2_dram_reads"), 1u);
+    EXPECT_GE(
+        sys->debug().mem().stats().get("nxp_peer_to_nxp2_dram_reads"), 1u);
 }
 
 TEST_F(MultiNxpTest, DeviceToDeviceCostsTwoRoundTrips)

@@ -86,7 +86,7 @@ TEST_F(MultiProcessTest, InterleavedMigrations)
         ASSERT_EQ(sys.call(a, "nxp_add", {i, 1}), i + 1);
         ASSERT_EQ(sys.call(b, "nxp_add", {i, 2}), i + 2);
     }
-    EXPECT_EQ(sys.engine().stats().get("host_to_nxp_calls"), 20u);
+    EXPECT_EQ(sys.debug().engine().stats().get("host_to_nxp_calls"), 20u);
     // Each process's thread has its own NxP stack.
     EXPECT_NE(a.task->nxpStackTop[0], b.task->nxpStackTop[0]);
 }
@@ -117,9 +117,9 @@ TEST_F(MultiProcessTest, TextIsSharedReadOnlyButDistinctFrames)
     // Identical programs load at identical VAs...
     EXPECT_EQ(a.image.symbol("poke"), b.image.symbol("poke"));
     // ...but each process got its own frames (no sharing model).
-    auto ta = sys.pageTables().translate(a.image.cr3, a.image.symbol(
+    auto ta = sys.debug().pageTables().translate(a.image.cr3, a.image.symbol(
                                                           "poke"));
-    auto tb = sys.pageTables().translate(b.image.cr3, b.image.symbol(
+    auto tb = sys.debug().pageTables().translate(b.image.cr3, b.image.symbol(
                                                           "poke"));
     ASSERT_TRUE(ta && tb);
     EXPECT_NE(ta->pa, tb->pa);

@@ -89,7 +89,7 @@ caller:
     EXPECT_EQ(sys.call(proc, "caller", {5}), 1006u);
     // One NxP->host round trip actually happened (we did not silently
     // run the wrong bytes).
-    EXPECT_EQ(sys.engine().stats().get("nxp_to_host_calls"), 1u);
+    EXPECT_EQ(sys.debug().engine().stats().get("nxp_to_host_calls"), 1u);
 }
 
 TEST(OddAddress, FunctionPointerFromNxpToOddishHostTargets)

@@ -50,9 +50,9 @@ TEST_F(OffloadTest, NoMigrationMachineryInvolved)
 {
     boot();
     runner->call(proc->image.symbol("nxp_add"), {1, 2});
-    EXPECT_EQ(sys->engine().stats().get("host_to_nxp_calls"), 0u);
-    EXPECT_EQ(sys->kernel().stats().get("nx_faults"), 0u);
-    EXPECT_EQ(sys->kernel().stats().get("suspensions"), 0u);
+    EXPECT_EQ(sys->debug().engine().stats().get("host_to_nxp_calls"), 0u);
+    EXPECT_EQ(sys->debug().kernel().stats().get("nx_faults"), 0u);
+    EXPECT_EQ(sys->debug().kernel().stats().get("suspensions"), 0u);
 }
 
 TEST_F(OffloadTest, BusyPollCheaperThanInterruptCheaperThanFlick)

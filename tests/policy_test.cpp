@@ -379,7 +379,7 @@ relay_chain:
     Process &proc = sys.load(prog);
 
     EXPECT_EQ(sys.call(proc, "relay_chain", {10}), 41u);
-    EXPECT_EQ(sys.engine().stats().get("nxp_to_nxp_calls"), 1u);
+    EXPECT_EQ(sys.debug().engine().stats().get("nxp_to_nxp_calls"), 1u);
 
     auto &pg =
         dynamic_cast<ProfileGuidedPlacement &>(sys.debug().policy());
@@ -395,7 +395,7 @@ relay_chain:
         pg.profile(proc.image.cr3, proc.image.symbol("relay_chain"));
     ASSERT_NE(outer, nullptr);
     EXPECT_EQ(outer->deviceSamples, 1u);
-    EXPECT_GE(sys.engine().stats().get("placement.model_updates"), 2u);
+    EXPECT_GE(sys.debug().engine().stats().get("placement.model_updates"), 2u);
 }
 
 } // namespace

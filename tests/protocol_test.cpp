@@ -27,14 +27,14 @@ class ProtocolTest : public ::testing::Test
         proc = &sys->load(prog);
         // Exclude the one-time stack allocation from journals.
         sys->call(*proc, "nxp_noop");
-        sys->engine().enableJournal();
+        sys->debug().engine().enableJournal();
     }
 
     std::vector<ProtocolStep>
     steps() const
     {
         std::vector<ProtocolStep> out;
-        for (const auto &e : sys->engine().journal())
+        for (const auto &e : sys->debug().engine().journal())
             out.push_back(e.step);
         return out;
     }
@@ -84,7 +84,7 @@ TEST_F(ProtocolTest, TimestampsAreMonotonic)
 {
     boot();
     sys->call(*proc, "nxp_calls_host", {3});
-    const auto &j = sys->engine().journal();
+    const auto &j = sys->debug().engine().journal();
     ASSERT_FALSE(j.empty());
     for (std::size_t i = 1; i < j.size(); ++i)
         EXPECT_GE(j[i].when, j[i - 1].when);
@@ -94,7 +94,7 @@ TEST_F(ProtocolTest, JournalCarriesTargets)
 {
     boot();
     sys->call(*proc, "nxp_add", {1, 2});
-    const auto &j = sys->engine().journal();
+    const auto &j = sys->debug().engine().journal();
     VAddr target = proc->image.symbol("nxp_add");
     EXPECT_EQ(j[0].step, ProtocolStep::hostNxFault);
     EXPECT_EQ(j[0].addr, target);
@@ -116,7 +116,7 @@ TEST_F(ProtocolTest, RecursionNestsJournalSymmetrically)
     // Counts must balance: every fault produces exactly one return.
     int host_faults = 0, host_returns = 0;
     int nxp_faults = 0, nxp_resumes = 0;
-    for (const auto &e : sys->engine().journal()) {
+    for (const auto &e : sys->debug().engine().journal()) {
         host_faults += e.step == ProtocolStep::hostNxFault;
         host_returns += e.step == ProtocolStep::hostReturn;
         nxp_faults += e.step == ProtocolStep::nxpFault;
@@ -133,7 +133,7 @@ TEST_F(ProtocolTest, DmaFiresOnlyAfterSuspend)
 {
     boot();
     sys->call(*proc, "nxp_add", {1, 2});
-    const auto &j = sys->engine().journal();
+    const auto &j = sys->debug().engine().journal();
     // hostSendCall (suspension complete) strictly precedes dmaToNxp.
     std::size_t send = 0, dma = 0;
     for (std::size_t i = 0; i < j.size(); ++i) {
@@ -153,16 +153,16 @@ TEST_F(ProtocolTest, JournalDisabledByDefault)
     workloads::addMicrobench(prog);
     proc = &sys->load(prog);
     sys->call(*proc, "nxp_add", {1, 2});
-    EXPECT_TRUE(sys->engine().journal().empty());
+    EXPECT_TRUE(sys->debug().engine().journal().empty());
 }
 
 TEST_F(ProtocolTest, EnableClearsPreviousJournal)
 {
     boot();
     sys->call(*proc, "nxp_add", {1, 2});
-    EXPECT_FALSE(sys->engine().journal().empty());
-    sys->engine().enableJournal();
-    EXPECT_TRUE(sys->engine().journal().empty());
+    EXPECT_FALSE(sys->debug().engine().journal().empty());
+    sys->debug().engine().enableJournal();
+    EXPECT_TRUE(sys->debug().engine().journal().empty());
 }
 
 TEST(ProtocolStepNames, AllDistinct)

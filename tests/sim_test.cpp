@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <vector>
 
@@ -148,6 +149,22 @@ TEST(EventQueue, StepReturnsFalseWhenEmpty)
     EXPECT_TRUE(q.step());
     EXPECT_FALSE(q.step());
     EXPECT_EQ(q.eventsRun(), 1u);
+}
+
+TEST(EventQueue, DestructionFreesPendingEvents)
+{
+    auto token = std::make_shared<int>(42);
+    bool ran = false;
+    {
+        EventQueue q;
+        q.schedule(5, "holds-token", [token, &ran] { ran = true; });
+        auto cancelled = q.schedule(6, "cancelled", [token] {});
+        q.deschedule(cancelled);
+        EXPECT_EQ(token.use_count(), 3);
+    }
+    // Neither callback ran, and both released their captures.
+    EXPECT_FALSE(ran);
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(Rng, Deterministic)

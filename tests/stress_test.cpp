@@ -68,12 +68,12 @@ TEST_F(StressTest, DeepCrossIsaRecursion)
     boot();
     // 200 alternating frames = 100 migrations each way, all nested.
     EXPECT_EQ(sys->call(*proc, "host_down", {200}), 200u);
-    EXPECT_EQ(sys->engine().stats().get("host_to_nxp_calls"), 100u);
-    EXPECT_EQ(sys->engine().stats().get("nxp_to_host_calls"), 100u);
+    EXPECT_EQ(sys->debug().engine().stats().get("host_to_nxp_calls"), 100u);
+    EXPECT_EQ(sys->debug().engine().stats().get("nxp_to_host_calls"), 100u);
     // All suspensions resumed; the task ends up runnable on the host.
     EXPECT_EQ(proc->task->state, TaskState::running);
-    EXPECT_EQ(sys->kernel().stats().get("suspensions"),
-              sys->kernel().stats().get("resumes"));
+    EXPECT_EQ(sys->debug().kernel().stats().get("suspensions"),
+              sys->debug().kernel().stats().get("resumes"));
 }
 
 TEST_F(StressTest, RecursionDepthSweep)
@@ -114,7 +114,7 @@ TEST_F(StressTest, LongRandomMixedSequence)
           }
         }
     }
-    EXPECT_EQ(sys->engine().stats().get("host_to_nxp_calls"),
+    EXPECT_EQ(sys->debug().engine().stats().get("host_to_nxp_calls"),
               migrations);
 }
 
@@ -130,7 +130,7 @@ TEST_F(StressTest, ThousandsOfMigrations)
     // from leaked state, descriptor slots, or TLB pollution.
     EXPECT_GT(avg, 15.0);
     EXPECT_LT(avg, 21.0);
-    EXPECT_EQ(sys->engine().stats().get("host_nxp_host_roundtrips"),
+    EXPECT_EQ(sys->debug().engine().stats().get("host_nxp_host_roundtrips"),
               3001u);
 }
 

@@ -53,9 +53,9 @@ TEST_F(TimingTest, RawAccessLatenciesMatchPaper)
     EXPECT_EQ(config.timing.nxpToNxpDram, ns(267));
     // And they are what the routed fabric actually charges.
     std::uint64_t v;
-    Tick host = sys->mem().readInt(Requester::hostCore,
+    Tick host = sys->debug().mem().readInt(Requester::hostCore,
                                    config.platform.bar0Base, 8, v);
-    Tick nxp = sys->mem().readInt(Requester::nxpCore,
+    Tick nxp = sys->debug().mem().readInt(Requester::nxpCore,
                                   config.platform.nxpDramLocalBase, 8, v);
     EXPECT_EQ(host, ns(825));
     EXPECT_EQ(nxp, ns(267));
@@ -190,10 +190,10 @@ TEST_F(TimingTest, HugePagesKeepNxpTlbMissesRare)
     boot();
     PointerChaseList list(*sys, *proc, 4096, 1 << 22, 24);
     std::uint64_t walks0 =
-        sys->nxpCore().mmu().walker().stats().get("walks");
+        sys->debug().nxpCore().mmu().walker().stats().get("walks");
     sys->call(*proc, "chase_nxp", {list.head(), 4000});
     std::uint64_t walks =
-        sys->nxpCore().mmu().walker().stats().get("walks") - walks0;
+        sys->debug().nxpCore().mmu().walker().stats().get("walks") - walks0;
     EXPECT_LE(walks, 8u);
 }
 
@@ -203,12 +203,12 @@ TEST_F(TimingTest, SmallPagesCauseTlbPressure)
     boot();
     PointerChaseList list(*sys, *proc, 4096, 1 << 22, 25);
     std::uint64_t walks0 =
-        sys->nxpCore().mmu().walker().stats().get("walks");
+        sys->debug().nxpCore().mmu().walker().stats().get("walks");
     Tick t0 = sys->now();
     sys->call(*proc, "chase_nxp", {list.head(), 4000});
     Tick small_pages = sys->now() - t0;
     std::uint64_t walks =
-        sys->nxpCore().mmu().walker().stats().get("walks") - walks0;
+        sys->debug().nxpCore().mmu().walker().stats().get("walks") - walks0;
     // Random nodes across 4 MB = 1024 distinct 4 KB pages against a
     // 16-entry TLB: nearly every hop walks.
     EXPECT_GT(walks, 3000u);
@@ -220,10 +220,11 @@ TEST_F(TimingTest, IcacheMakesNxpLoopsCheap)
 {
     boot();
     sys->call(*proc, "nxp_noop_loop", {10});
-    std::uint64_t misses0 = sys->nxpCore().icache()->stats().get("misses");
+    std::uint64_t misses0 =
+        sys->debug().nxpCore().icache()->stats().get("misses");
     sys->call(*proc, "nxp_noop_loop", {100000});
     std::uint64_t misses =
-        sys->nxpCore().icache()->stats().get("misses") - misses0;
+        sys->debug().nxpCore().icache()->stats().get("misses") - misses0;
     // The loop body fits in a couple of lines: misses stay trivial even
     // though the text lives in host memory (Section III-D).
     EXPECT_LE(misses, 4u);

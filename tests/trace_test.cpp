@@ -398,8 +398,10 @@ TEST_F(TracedSystem, GaugesTrackRingsAndInFlightCalls)
 {
     boot();
     Task &t1 = sys->spawnThread(*proc);
-    auto f1 = sys->submit(*proc, "nxp_add", {1, 2});
-    auto f2 = sys->submit(*proc, t1, "nxp_add", {3, 4});
+    auto f1 = sys->submit(*proc, CallSpec("nxp_add").withArgs({1, 2}));
+    auto f2 = sys->submit(*proc, CallSpec("nxp_add")
+                                     .withArgs({3, 4})
+                                     .onThread(t1));
     f1.wait();
     f2.wait();
 

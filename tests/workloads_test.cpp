@@ -185,7 +185,7 @@ TEST_F(WorkloadTest, BfsWithCallbackMigratesPerVertex)
         *proc, "bfs_nxp", {d.rowOff, d.col, d.visited, d.queue, 0, cb});
     EXPECT_EQ(count, g.vertices());
     // One NxP->host round trip per discovered vertex (the paper's BFS).
-    EXPECT_EQ(sys->engine().stats().get("nxp_to_host_calls"),
+    EXPECT_EQ(sys->debug().engine().stats().get("nxp_to_host_calls"),
               g.vertices());
 }
 
