@@ -14,7 +14,8 @@
  *     --call=SYM        function to run (default: main)
  *     --args=A,B,...    up to six integer arguments (0x hex ok)
  *     --trace           stream a disassembled instruction trace
- *     --journal         print the migration protocol journal
+ *     --journal         print the protocol trace stream (tick, point,
+ *                       pid, device, arg)
  *     --stats           dump all component statistics at exit
  *     --extra-us=N      inflate each migration round trip by N us
  *
@@ -68,7 +69,7 @@ usageError(const std::string &problem)
                  "  --call=SYM      function to run (default: main)\n"
                  "  --args=A,B,...  up to %u integer arguments (0x hex ok)\n"
                  "  --trace         stream a disassembled instruction trace\n"
-                 "  --journal       print the migration protocol journal\n"
+                 "  --journal       print the protocol trace stream\n"
                  "  --stats         dump all component statistics at exit\n"
                  "  --extra-us=N    inflate each migration round trip by N "
                  "us\n",
@@ -150,7 +151,7 @@ main(int argc, char **argv)
     if (files.empty())
         usageError("no input files");
 
-    FlickSystem sys;
+    FlickSystem sys(SystemConfig{}.withTrace(print_journal));
     Program prog;
     for (const std::string &f : files) {
         std::string source = readFile(f);
@@ -170,19 +171,18 @@ main(int argc, char **argv)
         sys.setExtraRoundTripLatency(extra);
     if (trace)
         sys.enableInstructionTrace(&std::cerr);
-    if (print_journal)
-        sys.debug().engine().enableJournal();
 
     Tick t0 = sys.now();
     std::uint64_t result = sys.submit(proc, CallSpec(call_symbol).withArgs(args)).wait();
     Tick elapsed = sys.now() - t0;
 
     if (print_journal) {
-        std::printf("-- protocol journal --\n");
-        for (const ProtocolEvent &e : sys.debug().engine().journal())
-            std::printf("%12.2fus  %-14s  pid=%d  addr=%#llx\n",
-                        ticksToUs(e.when - t0), protocolStepName(e.step),
-                        e.pid, (unsigned long long)e.addr);
+        std::printf("-- protocol trace --\n");
+        for (const TraceEvent &e : sys.debug().trace().events())
+            std::printf("%12.2fus  %-14s  pid=%d  dev=%u  arg=%#llx\n",
+                        ticksToUs(e.tick - t0), tracePointName(e.point),
+                        e.pid, static_cast<unsigned>(e.device),
+                        (unsigned long long)e.arg);
     }
     if (stats) {
         std::printf("-- statistics --\n");

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification sweep: docs-drift guards keeping DESIGN.md's
-# configuration table and counter reference in sync with the code, the
-# full test suite in the default build, the benches' smoke gates, and
+# configuration table, counter reference and trace-point table in sync
+# with the code, the full test suite in the default build, the Table III
+# breakdown's exact-attribution gate, the benches' smoke gates, and
 # the whole test suite again in a Debug ASan+UBSan build with leak
 # checking on (lifetime bugs in the event-driven engine's continuation
 # chains, leaks of still-pending events, and undefined behaviour in the
@@ -61,10 +62,33 @@ fi
 echo "all flick.* stat families documented"
 
 echo
+echo "== docs drift guard: TracePoint enumerators in DESIGN.md =="
+# Every milestone and instant of enum class TracePoint must be named, in
+# backticks, in DESIGN.md (the §10 trace-point table).
+missing=0
+points=$(sed -n '/^enum class TracePoint/,/^};/p' src/sim/trace.hh |
+         grep -oE '^[[:space:]]+[a-z][A-Za-z0-9]*,' | tr -d ' ,')
+for point in $points; do
+    if ! grep -qF "\`$point\`" DESIGN.md; then
+        echo "DESIGN.md does not mention TracePoint::$point" >&2
+        missing=1
+    fi
+done
+if [ "$missing" -ne 0 ]; then
+    echo "docs drift: add the trace points above to DESIGN.md §10" >&2
+    exit 1
+fi
+echo "all TracePoint enumerators documented"
+
+echo
 echo "== release build + full test suite =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
+
+echo
+echo "== Table III breakdown (fails unless phase sums equal end-to-end) =="
+./build/bench/bench_table3_breakdown
 
 echo
 echo "== interp bench, smoke mode (cached vs reference identity) =="
@@ -94,11 +118,12 @@ echo
 echo "== debug + asan/ubsan build, full test suite with leak checking =="
 cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=Debug -DFLICK_SANITIZE=address,undefined >/dev/null
-# The test executables plus flick_run, whose command-line checks are
-# part of the suite; the benches are not needed here.
+# The test executables plus flick_run and protocol_trace, whose ctest
+# entries are part of the suite; the benches are not needed here.
 test_targets=$(grep -oE '^flick_test\([a-z_0-9]+' tests/CMakeLists.txt |
                cut -d'(' -f2)
-cmake --build build-asan -j "$jobs" --target $test_targets flick_run
+cmake --build build-asan -j "$jobs" --target $test_targets flick_run \
+    protocol_trace
 ASAN_OPTIONS=detect_leaks=1 \
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir build-asan --output-on-failure -j "$jobs"

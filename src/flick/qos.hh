@@ -39,9 +39,6 @@
 namespace flick
 {
 
-/** Printable shed-reason name. */
-const char *shedReasonName(ShedReason reason);
-
 /**
  * Tunables of the multi-tenant QoS layer (SystemConfig::withQos).
  */
@@ -106,35 +103,6 @@ struct QosConfig
         return *this;
     }
 };
-
-/**
- * One recorded QoS front-door decision (SystemConfig::withArrivalTrace).
- * Passive debug instrumentation: recording perturbs nothing.
- */
-struct QosArrival
-{
-    /** What the front door (or a later dequeue) decided. */
-    enum class Outcome : std::uint8_t
-    {
-        admitted, //!< Entered the engine at submit time.
-        queued,   //!< Parked in the tenant's submission queue.
-        shed,     //!< Refused at submit time (see reason).
-        dequeued, //!< Left the queue and entered the engine.
-        shedAtDequeue, //!< Refused at dequeue (deadline now infeasible).
-        cancelledQueued, //!< cancel() removed it from the queue.
-    };
-
-    Tick when = 0;
-    unsigned tenant = 0;
-    int pid = 0;
-    Outcome outcome = Outcome::admitted;
-    ShedReason reason = ShedReason::none;
-    /** Completion-time estimate at decision time (admission test). */
-    Tick estimate = 0;
-};
-
-/** Printable arrival-outcome name. */
-const char *qosOutcomeName(QosArrival::Outcome outcome);
 
 /**
  * Tenant registry, in-flight accounting and the weighted-fair pick.

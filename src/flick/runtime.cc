@@ -9,31 +9,6 @@
 namespace flick
 {
 
-const char *
-protocolStepName(ProtocolStep step)
-{
-    switch (step) {
-      case ProtocolStep::hostNxFault: return "hostNxFault";
-      case ProtocolStep::nxpStackAlloc: return "nxpStackAlloc";
-      case ProtocolStep::hostSendCall: return "hostSendCall";
-      case ProtocolStep::dmaToNxp: return "dmaToNxp";
-      case ProtocolStep::nxpPickup: return "nxpPickup";
-      case ProtocolStep::nxpCallStart: return "nxpCallStart";
-      case ProtocolStep::nxpFault: return "nxpFault";
-      case ProtocolStep::nxpSendCall: return "nxpSendCall";
-      case ProtocolStep::hostWake: return "hostWake";
-      case ProtocolStep::hostCallStart: return "hostCallStart";
-      case ProtocolStep::hostSendReturn: return "hostSendReturn";
-      case ProtocolStep::nxpResume: return "nxpResume";
-      case ProtocolStep::nxpSendReturn: return "nxpSendReturn";
-      case ProtocolStep::hostReturn: return "hostReturn";
-      case ProtocolStep::hostForward: return "hostForward";
-      case ProtocolStep::hostFallback: return "hostFallback";
-      case ProtocolStep::hostSteered: return "hostSteered";
-    }
-    return "?";
-}
-
 // --- Placement policy plumbing (DESIGN.md §11) --------------------------
 
 /**
@@ -345,8 +320,9 @@ MigrationEngine::currentNxpSp(const Task &task, unsigned device) const
 }
 
 void
-MigrationEngine::ensureNxpStack(Task &task, unsigned device, Cont then)
+MigrationEngine::ensureNxpStack(TaskExec &x, unsigned device, Cont then)
 {
+    Task &task = *x.task;
     if (task.nxpStackTop[device] != 0) {
         then();
         return;
@@ -355,10 +331,11 @@ MigrationEngine::ensureNxpStack(Task &task, unsigned device, Cont then)
     task.nxpStackTop[device] = stack_base + _nxpStackBytes;
     task.nxpStackBytes = _nxpStackBytes;
     int pid = task.pid;
+    std::uint64_t id = x.id;
     VAddr top = task.nxpStackTop[device];
-    after(_timing.nxpStackAllocate, [this, pid, top, then] {
+    after(_timing.nxpStackAllocate, [this, pid, id, device, top, then] {
         _stats.inc("nxp_stacks_allocated");
-        journal(ProtocolStep::nxpStackAlloc, pid, top);
+        tracePoint(TracePoint::nxpStackAlloc, pid, id, device, top);
         then();
     });
 }
@@ -418,30 +395,15 @@ MigrationEngine::submit(Task &task, VAddr entry,
     // before it occupies a ring slot, if the deadline cannot be met.
     Tick estimate = admissionEstimate(task.cr3, entry, tenant);
     if (abs_deadline && _qos.deadlineAdmission &&
-        _events.now() + estimate > abs_deadline) {
-        tenantStat("qos.shed", tenant);
-        tenantStat("qos.shed.deadline_infeasible", tenant);
-        recordArrival(tenant, task.pid, QosArrival::Outcome::shed,
-                      ShedReason::deadlineInfeasible, estimate);
-        return shedFuture(task, ShedReason::deadlineInfeasible);
-    }
+        _events.now() + estimate > abs_deadline)
+        return shedFuture(task, tenant, ShedReason::deadlineInfeasible);
 
     if (_tenants.inFlight(tenant) >= effectiveTenantBudget()) {
-        if (_qos.tenantQueueCap == 0) {
-            // Queueing disabled: a strict budget, shed on the spot.
-            tenantStat("qos.shed", tenant);
-            tenantStat("qos.shed.tenant_over_budget", tenant);
-            recordArrival(tenant, task.pid, QosArrival::Outcome::shed,
-                          ShedReason::tenantOverBudget, estimate);
-            return shedFuture(task, ShedReason::tenantOverBudget);
-        }
-        if (_tenants.queued(tenant) >= _qos.tenantQueueCap) {
-            tenantStat("qos.shed", tenant);
-            tenantStat("qos.shed.queue_full", tenant);
-            recordArrival(tenant, task.pid, QosArrival::Outcome::shed,
-                          ShedReason::queueFull, estimate);
-            return shedFuture(task, ShedReason::queueFull);
-        }
+        // Queueing disabled: a strict budget, shed on the spot.
+        if (_qos.tenantQueueCap == 0)
+            return shedFuture(task, tenant, ShedReason::tenantOverBudget);
+        if (_tenants.queued(tenant) >= _qos.tenantQueueCap)
+            return shedFuture(task, tenant, ShedReason::queueFull);
         // Over budget but the queue has room: park the call. Its future
         // is pending; weighted fair dequeue admits it when the tenant's
         // budget frees up (pumpQosQueues).
@@ -454,38 +416,50 @@ MigrationEngine::submit(Task &task, VAddr entry,
         p.stackTop = stack_top;
         p.placementHint = opts.placementHint;
         p.absDeadline = abs_deadline;
-        p.enqueued = _events.now();
         p.future = state;
         _qosQueues[tenant].push_back(std::move(p));
         _qosQueuedPid[task.pid] = tenant;
         _tenants.onEnqueue(tenant);
         tenantStat("qos.queued", tenant);
-        recordArrival(tenant, task.pid, QosArrival::Outcome::queued,
-                      ShedReason::none, estimate);
+        tracePoint(TracePoint::qosQueue, task.pid, 0, 0, estimate);
         return CallFuture(std::move(state), this);
     }
 
     tenantStat("qos.admitted", tenant);
-    recordArrival(tenant, task.pid, QosArrival::Outcome::admitted,
-                  ShedReason::none, estimate);
+    tracePoint(TracePoint::qosAdmit, task.pid, 0, 0, estimate);
     return admitCall(task, entry, args, stack_top, abs_deadline,
                      opts.placementHint, nullptr);
 }
 
 CallFuture
-MigrationEngine::shedFuture(Task &task, ShedReason reason)
+MigrationEngine::shedFuture(Task &task, unsigned tenant, ShedReason reason)
 {
     // A shed call completes without allocating a call frame, touching a
     // ring staging slot or scheduling an event: the future is the only
     // thing created, and the engine's clocks, rings and counters (bar
-    // the shed counters charged by the caller) are untouched.
+    // the shed counters) are untouched.
     auto shed = std::make_shared<CallFutureState>();
     shed->pid = task.pid;
-    shed->value = 0;
-    shed->status = CallStatus::shedLoad;
-    shed->shedReason = reason;
-    shed->done = true;
+    shedCall(*shed, tenant, reason);
     return CallFuture(std::move(shed), this);
+}
+
+void
+MigrationEngine::shedCall(CallFutureState &state, unsigned tenant,
+                          ShedReason reason)
+{
+    tenantStat("qos.shed", tenant);
+    tenantStat(reason == ShedReason::queueFull ? "qos.shed.queue_full"
+               : reason == ShedReason::tenantOverBudget
+                   ? "qos.shed.tenant_over_budget"
+                   : "qos.shed.deadline_infeasible",
+               tenant);
+    tracePoint(TracePoint::qosShed, state.pid, 0, 0,
+               static_cast<std::uint64_t>(reason));
+    state.value = 0;
+    state.status = CallStatus::shedLoad;
+    state.shedReason = reason;
+    state.done = true;
 }
 
 CallFuture
@@ -665,21 +639,12 @@ MigrationEngine::pumpQosQueues()
         Tick estimate = admissionEstimate(p.task->cr3, p.entry, tenant);
         if (p.absDeadline && _qos.deadlineAdmission &&
             _events.now() + estimate > p.absDeadline) {
-            tenantStat("qos.shed", tenant);
-            tenantStat("qos.shed.deadline_infeasible", tenant);
-            recordArrival(tenant, p.task->pid,
-                          QosArrival::Outcome::shedAtDequeue,
-                          ShedReason::deadlineInfeasible, estimate);
-            p.future->value = 0;
-            p.future->status = CallStatus::shedLoad;
-            p.future->shedReason = ShedReason::deadlineInfeasible;
-            p.future->done = true;
+            shedCall(*p.future, tenant, ShedReason::deadlineInfeasible);
             continue;
         }
         _tenants.charge(tenant);
         tenantStat("qos.dequeued", tenant);
-        recordArrival(tenant, p.task->pid, QosArrival::Outcome::dequeued,
-                      ShedReason::none, estimate);
+        tracePoint(TracePoint::qosDequeue, p.task->pid, 0, 0, estimate);
         // A submit-time placement hint can go stale while the call sits
         // in the queue (hot-page migration moved its data): re-vote the
         // majority holder of the argument pages at dequeue time and
@@ -712,8 +677,8 @@ MigrationEngine::cancelQueuedCall(int pid, unsigned tenant)
         _stats.inc("calls_failed");
         _stats.inc("cancellations");
         tenantStat("qos.cancelled_queued", tenant);
-        recordArrival(tenant, pid, QosArrival::Outcome::cancelledQueued,
-                      ShedReason::none, 0);
+        tracePoint(TracePoint::qosCancel, pid, 0, 0,
+                   admissionEstimate(it->task->cr3, it->entry, tenant));
         queue.erase(it);
         return;
     }
@@ -853,8 +818,7 @@ MigrationEngine::dispatchFallback(TaskExec &x)
             std::vector<std::uint64_t> args(top.args.begin(),
                                             top.args.begin() + top.nargs);
             _hostCore.setupCall(twin, args);
-            journal(ProtocolStep::hostFallback, pid, twin);
-            tracePoint(TracePoint::hostCallStart, pid, id, 0, twin);
+            tracePoint(TracePoint::hostFallback, pid, id, 0, twin);
             runHostSegment(*v);
         });
     });
@@ -871,13 +835,11 @@ MigrationEngine::handleHostDescriptor(TaskExec &x, MigrationDescriptor d)
 
     switch (d.kind) {
       case DescriptorKind::nxpToHostCall: {
-        journal(ProtocolStep::hostWake, pid, d.target);
         if (top.callee == hostSide) {
             // (d) An NxP called a host function: run it here.
             std::vector<std::uint64_t> args(d.args.begin(),
                                             d.args.begin() + d.nargs);
             _hostCore.setupCall(d.target, args);
-            journal(ProtocolStep::hostCallStart, pid, d.target);
             tracePoint(TracePoint::hostCallStart, pid, x.id, 0, d.target);
             runHostSegment(x);
             return;
@@ -900,16 +862,14 @@ MigrationEngine::handleHostDescriptor(TaskExec &x, MigrationDescriptor d)
             protoStat("failovers", to);
             top.callee = hostSide;
             _hostCore.setupCall(twin, d.argVector());
-            journal(ProtocolStep::hostFallback, pid, twin);
-            tracePoint(TracePoint::hostCallStart, pid, x.id, 0, twin);
+            tracePoint(TracePoint::hostFallback, pid, x.id, 0, twin);
             runHostSegment(x);
             return;
         }
-        journal(ProtocolStep::hostForward, pid, d.target);
-        tracePoint(TracePoint::hostDescBuild, pid, x.id, to, d.target);
+        tracePoint(TracePoint::hostForward, pid, x.id, to, d.target);
         MigrationDescriptor fwd = d;
         std::uint64_t id = x.id;
-        ensureNxpStack(task, to, [this, pid, id, fwd, to] {
+        ensureNxpStack(x, to, [this, pid, id, fwd, to] {
             after(_timing.ioctlEntry, [this, pid, id, fwd, to] {
                 TaskExec *w = live(pid, id);
                 if (!w) {
@@ -927,7 +887,6 @@ MigrationEngine::handleHostDescriptor(TaskExec &x, MigrationDescriptor d)
       }
 
       case DescriptorKind::nxpToHostReturn: {
-        journal(ProtocolStep::hostReturn, pid, d.retval);
         if (top.caller == hostSide) {
             // (g) The host->NxP round trip completes here.
             tracePoint(TracePoint::hostResume, pid, x.id);
@@ -1270,7 +1229,6 @@ MigrationEngine::startHostSteeredCall(TaskExec &x, VAddr faulted,
     for (unsigned i = 0; i < MigrationDescriptor::maxArgs; ++i)
         f.args[i] = _hostCore.arg(i);
     x.frames.push_back(f);
-    journal(ProtocolStep::hostNxFault, pid, faulted);
     tracePoint(TracePoint::hostNxFault, pid, id, home, faulted);
     after(_timing.nxFaultService + _timing.faultTrapExit +
               hostCycles(_timing.hostHandlerCycles),
@@ -1284,8 +1242,7 @@ MigrationEngine::startHostSteeredCall(TaskExec &x, VAddr faulted,
         std::vector<std::uint64_t> args(top.args.begin(),
                                         top.args.begin() + top.nargs);
         _hostCore.setupCall(twin, args);
-        journal(ProtocolStep::hostSteered, pid, twin);
-        tracePoint(TracePoint::hostCallStart, pid, id, 0, twin);
+        tracePoint(TracePoint::hostSteered, pid, id, 0, twin);
         runHostSegment(*w);
     });
 }
@@ -1548,7 +1505,6 @@ MigrationEngine::startHostToNxpCall(TaskExec &x, VAddr target,
         for (unsigned i = 0; i < MigrationDescriptor::maxArgs; ++i)
             f.args[i] = _hostCore.arg(i);
         x.frames.push_back(f);
-        journal(ProtocolStep::hostNxFault, pid, target);
         tracePoint(TracePoint::hostNxFault, pid, id, device, target);
         after(_timing.nxFaultService + _timing.faultTrapExit +
                   hostCycles(_timing.hostHandlerCycles),
@@ -1562,8 +1518,7 @@ MigrationEngine::startHostToNxpCall(TaskExec &x, VAddr target,
             std::vector<std::uint64_t> args(top.args.begin(),
                                             top.args.begin() + top.nargs);
             _hostCore.setupCall(twin, args);
-            journal(ProtocolStep::hostFallback, pid, twin);
-            tracePoint(TracePoint::hostCallStart, pid, id, 0, twin);
+            tracePoint(TracePoint::hostFallback, pid, id, 0, twin);
             runHostSegment(*w);
         });
         return;
@@ -1581,7 +1536,6 @@ MigrationEngine::startHostToNxpCall(TaskExec &x, VAddr target,
     // task_struct, hijack the return address to the migration handler,
     // then trap-exit into the hijacked user-space handler.
     task.savedFaultAddr = target;
-    journal(ProtocolStep::hostNxFault, pid, target);
     tracePoint(TracePoint::hostNxFault, pid, id, device, target);
     after(_timing.nxFaultService + _timing.faultTrapExit,
           [this, pid, id, target, device] {
@@ -1593,7 +1547,7 @@ MigrationEngine::startHostToNxpCall(TaskExec &x, VAddr target,
               tracePoint(TracePoint::hostDescBuild, pid, id, device);
               // First migration to this device: allocate the thread's
               // NxP stack (Listing 1 lines 3-4).
-              ensureNxpStack(*w0->task, device,
+              ensureNxpStack(*w0, device,
                              [this, pid, id, target, device] {
                   // User-space handler gathers its (hijacked)
                   // arguments, then ioctl(): package target, args,
@@ -1675,9 +1629,6 @@ MigrationEngine::hostSendDescriptor(TaskExec &x, MigrationDescriptor d,
         _kernel.suspendForMigration(task, _hostCore.saveContext());
         after(_timing.suspendSwitch, [this, pid, id, d, device] {
             bool is_call = d.kind == DescriptorKind::hostToNxpCall;
-            journal(is_call ? ProtocolStep::hostSendCall
-                            : ProtocolStep::hostSendReturn,
-                    pid, is_call ? d.target : d.retval);
             Cont fire = [this, pid, id, d, device] {
                 TaskExec *w = live(pid, id);
                 if (!w) {
@@ -1744,8 +1695,6 @@ MigrationEngine::fireHostToNxp(MigrationDescriptor d, unsigned device)
                              platform->inboxArrived();
                              kickNxp(device);
                          });
-    if (d.kind == DescriptorKind::hostToNxpCall)
-        journal(ProtocolStep::dmaToNxp, static_cast<int>(d.pid));
 }
 
 // --- NxP-side scheduling -------------------------------------------------
@@ -1842,7 +1791,6 @@ MigrationEngine::handleNxpDescriptor(unsigned device,
 
     switch (d.kind) {
       case DescriptorKind::hostToNxpCall: {
-        journal(ProtocolStep::nxpPickup, pid, d.target);
         // Context switch into the thread using the descriptor's stack
         // pointer.
         after(nxpCycles(device, _timing.nxpCtxSwitchCycles),
@@ -1863,7 +1811,6 @@ MigrationEngine::handleNxpDescriptor(unsigned device,
             std::vector<std::uint64_t> args(d.args.begin(),
                                             d.args.begin() + d.nargs);
             core.setupCall(d.target, args);
-            journal(ProtocolStep::nxpCallStart, pid, d.target);
             tracePoint(TracePoint::nxpCallStart, pid, d.callId, device,
                        d.target);
             runNxpSegment(*x, device);
@@ -1897,7 +1844,6 @@ MigrationEngine::handleNxpDescriptor(unsigned device,
             }
             core.restoreContext(task.nxpSavedCtx.back().context);
             task.nxpSavedCtx.pop_back();
-            journal(ProtocolStep::nxpResume, pid, core.pc());
             tracePoint(TracePoint::nxpResume, pid, d.callId, device);
 
             if (x.frames.empty() || x.frames.back().caller != device) {
@@ -2009,7 +1955,7 @@ MigrationEngine::handleNxpStop(int pid, std::uint64_t id, unsigned device,
         ret.kind = DescriptorKind::nxpToHostReturn;
         ret.pid = static_cast<std::uint32_t>(pid);
         ret.retval = rv;
-        deviceSendToHost(x, ret, device, ProtocolStep::nxpSendReturn, rv);
+        deviceSendToHost(x, ret, device);
         return;
       }
 
@@ -2086,8 +2032,8 @@ MigrationEngine::startNxpFaultMigration(TaskExec &x, VAddr target,
             dest = to;
         }
 
-        // The faulted VA stays in the journal; the dispatch VA is what
-        // the descriptor carries (a policy may re-point it at a twin).
+        // The trace records the faulted VA; the dispatch VA is what the
+        // descriptor carries (a policy may re-point it at a twin).
         VAddr dispatch = target;
         VAddr canonical = target;
         if (dest != hostSide) {
@@ -2110,7 +2056,6 @@ MigrationEngine::startNxpFaultMigration(TaskExec &x, VAddr target,
 
         _stats.inc(dest == hostSide ? "nxp_to_host_calls"
                                     : "nxp_to_nxp_calls");
-        journal(ProtocolStep::nxpFault, pid, target);
         tracePoint(TracePoint::nxpDescBuild, pid, id, device, target);
 
         // Build the NxP->host call descriptor from the faulting call's
@@ -2135,36 +2080,32 @@ MigrationEngine::startNxpFaultMigration(TaskExec &x, VAddr target,
         }
 
         if (_extraRoundTrip) {
-            after(_extraRoundTrip, [this, pid, id, d, device, target] {
+            after(_extraRoundTrip, [this, pid, id, d, device] {
                 TaskExec *v = live(pid, id);
                 if (!v) {
                     releaseNxp(device);
                     return;
                 }
-                deviceSendToHost(*v, d, device,
-                                 ProtocolStep::nxpSendCall, target);
+                deviceSendToHost(*v, d, device);
             });
         } else {
-            deviceSendToHost(w, d, device, ProtocolStep::nxpSendCall,
-                             target);
+            deviceSendToHost(w, d, device);
         }
     });
 }
 
 void
 MigrationEngine::deviceSendToHost(TaskExec &x, MigrationDescriptor d,
-                                  unsigned device, ProtocolStep step,
-                                  VAddr addr)
+                                  unsigned device)
 {
-    int pid = x.task->pid;
     d.callId = x.id;
     after(nxpCycles(device, _timing.nxpDescriptorCycles) +
               _timing.nxpToNxpDram,
-          [this, pid, d, device, step, addr] {
+          [this, d, device] {
         // Context switch to the NxP scheduler, ring the DMA doorbell.
         after(nxpCycles(device, _timing.nxpCtxSwitchCycles) +
                   _timing.nxpToLocalMmio,
-              [this, pid, d, device, step, addr] {
+              [this, d, device] {
             NxpSide &s = side(device);
             if (s.dead || s.health == DeviceHealth::quarantined) {
                 // The device (or its link) was written off while the
@@ -2178,7 +2119,6 @@ MigrationEngine::deviceSendToHost(TaskExec &x, MigrationDescriptor d,
                 s.d2hDeferred.push_back(d);
             else
                 fireNxpToHost(d, device);
-            journal(step, pid, addr);
             releaseNxp(device);
         });
     });

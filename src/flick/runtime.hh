@@ -70,45 +70,6 @@ class SpeculationManager;
 struct EnginePlacementView;
 
 /**
- * One step of the migration protocol, for the journal.
- *
- * The steps map onto Figure 2's (a)..(g) walkthrough; tests assert the
- * ordering and tools print the trace.
- */
-enum class ProtocolStep
-{
-    hostNxFault,      //!< (a) host fetched NxP text: NX page fault.
-    nxpStackAlloc,    //!< first migration: NxP stack allocated.
-    hostSendCall,     //!< (a) call descriptor packaged + thread suspended.
-    dmaToNxp,         //!< descriptor DMA fired (after the suspend).
-    nxpPickup,        //!< (b) NxP scheduler picked the descriptor up.
-    nxpCallStart,     //!< (b) target function entered on the NxP.
-    nxpFault,         //!< (c) NxP fetched host text: fault.
-    nxpSendCall,      //!< (c) NxP-to-host call descriptor sent.
-    hostWake,         //!< (d) host woken by the DMA interrupt.
-    hostCallStart,    //!< (d) target host function entered.
-    hostSendReturn,   //!< (e) host-to-NxP return descriptor sent.
-    nxpResume,        //!< (f) NxP resumed the original function.
-    nxpSendReturn,    //!< (f) NxP-to-host return descriptor sent.
-    hostReturn,       //!< (g) host resumed with the return value.
-    hostForward,      //!< kernel forwarded a device-to-device call.
-    hostFallback,     //!< failed call re-dispatched to host-ISA text.
-    hostSteered,      //!< placement policy ran the host twin instead.
-};
-
-/** Printable step name. */
-const char *protocolStepName(ProtocolStep step);
-
-/** One journal record. */
-struct ProtocolEvent
-{
-    Tick when;
-    ProtocolStep step;
-    int pid;
-    VAddr addr; //!< Target/fault address where meaningful.
-};
-
-/**
  * Health of one NxP device, as the driver's watchdog sees it.
  *
  * healthy --(heartbeat finds outstanding work but no progress)-->
@@ -218,9 +179,10 @@ class MigrationEngine
 
     /**
      * Attach the tracer. The engine emits a milestone at every protocol
-     * step of every in-flight call plus ring-occupancy / in-flight-call
-     * gauges (DESIGN.md §10). Purely passive: the tracer never schedules
-     * events, so traced and untraced runs are tick-for-tick identical.
+     * step of every in-flight call, an instant at every QoS front-door
+     * decision, plus ring-occupancy / in-flight-call gauges (DESIGN.md
+     * §10). Purely passive: the tracer never schedules events, so traced
+     * and untraced runs are tick-for-tick identical.
      */
     void setTracer(Tracer *tracer) { _tracer = tracer; }
 
@@ -244,16 +206,6 @@ class MigrationEngine
 
     /** The active QoS configuration. */
     const QosConfig &qosConfig() const { return _qos; }
-
-    /**
-     * Record every QoS front-door decision (admitted / queued / shed /
-     * dequeued / cancelled) into arrivalTrace(). Passive debug
-     * instrumentation; off (the default) allocates nothing.
-     */
-    void setArrivalTrace(bool on) { _arrivalTraceOn = on; }
-
-    /** The recorded front-door decisions (setArrivalTrace). */
-    const std::vector<QosArrival> &arrivalTrace() const { return _arrivals; }
 
     /**
      * Register @p cr3 as a tenant (idempotent), assigning tenant ids in
@@ -412,17 +364,6 @@ class MigrationEngine
     /** Current simulated time (CallFuture::waitFor's clock). */
     Tick now() const { return _events.now(); }
 
-    /** Start recording protocol steps (clears any previous journal). */
-    void
-    enableJournal(bool on = true)
-    {
-        _journalOn = on;
-        _journal.clear();
-    }
-
-    /** The recorded protocol steps since enableJournal(). */
-    const std::vector<ProtocolEvent> &journal() const { return _journal; }
-
     StatGroup &stats() { return _stats; }
 
   private:
@@ -568,17 +509,24 @@ class MigrationEngine
         //! Absolute deadline fixed at submit time: queueing delay burns
         //! deadline budget, which the dequeue-time re-check observes.
         Tick absDeadline = 0;
-        Tick enqueued = 0;
         std::shared_ptr<CallFutureState> future;
     };
 
     /**
-     * Complete a refused call on the spot: the returned future is done
-     * with CallStatus::shedLoad and @p reason. Never allocates a call
-     * frame, touches a ring staging slot or schedules an event — the
-     * future is the only thing created (asserted by tests/qos_test.cpp).
+     * Refuse a call of @p tenant at submit time: shedCall() on a fresh
+     * future. Never allocates a call frame, touches a ring staging slot
+     * or schedules an event — the future is the only thing created
+     * (asserted by tests/qos_test.cpp).
      */
-    CallFuture shedFuture(Task &task, ShedReason reason);
+    CallFuture shedFuture(Task &task, unsigned tenant, ShedReason reason);
+
+    /**
+     * Charge a refused call of @p tenant (qos.shed plus the per-reason
+     * counter), emit its qosShed instant and complete @p state with
+     * CallStatus::shedLoad and @p reason.
+     */
+    void shedCall(CallFutureState &state, unsigned tenant,
+                  ShedReason reason);
 
     /**
      * The pre-QoS submit() body: create the TaskExec and hand the task
@@ -620,17 +568,6 @@ class MigrationEngine
     {
         _stats.inc(key);
         _stats.inc(strfmt("%s_cr3#%u", key, tenant));
-    }
-
-    /** Record a front-door decision when the arrival trace is on. */
-    void
-    recordArrival(unsigned tenant, int pid, QosArrival::Outcome outcome,
-                  ShedReason reason, Tick estimate)
-    {
-        if (!_arrivalTraceOn)
-            return;
-        _arrivals.push_back(
-            {_events.now(), tenant, pid, outcome, reason, estimate});
     }
 
     /** First dispatch of a submitted call: set up and run the entry. */
@@ -751,11 +688,11 @@ class MigrationEngine
                                 unsigned device);
 
     /**
-     * Ship @p d to the host (outbox stage + doorbell + DMA), journal
-     * @p step, then release the device core.
+     * Ship @p d to the host (outbox stage + doorbell + DMA), then
+     * release the device core.
      */
     void deviceSendToHost(TaskExec &x, MigrationDescriptor d,
-                          unsigned device, ProtocolStep step, VAddr addr);
+                          unsigned device);
     /** Stage @p d in the next d2h ring slot and start its DMA burst. */
     void fireNxpToHost(MigrationDescriptor d, unsigned device);
 
@@ -858,9 +795,9 @@ class MigrationEngine
 
     // --- Helpers -------------------------------------------------------
 
-    /** Ensure the thread has an NxP stack on @p device (Listing 1),
+    /** Ensure @p x's thread has an NxP stack on @p device (Listing 1),
      *  charging the allocation before running @p then. */
-    void ensureNxpStack(Task &task, unsigned device, Cont then);
+    void ensureNxpStack(TaskExec &x, unsigned device, Cont then);
 
     /** Schedule @p fn to run @p t ticks from now. */
     void
@@ -883,14 +820,6 @@ class MigrationEngine
 
     /** Current NxP stack pointer for a (possibly nested) call. */
     std::uint64_t currentNxpSp(const Task &task, unsigned device) const;
-
-    /** Append to the journal when enabled. */
-    void
-    journal(ProtocolStep step, int pid, VAddr addr = 0)
-    {
-        if (_journalOn)
-            _journal.push_back({_events.now(), step, pid, addr});
-    }
 
     /** Emit a trace milestone for call (@p pid, @p id) when tracing. */
     void
@@ -979,8 +908,6 @@ class MigrationEngine
     std::map<std::pair<Addr, VAddr>, std::vector<VAddr>> _deviceTwins;
     //! (cr3, twin va) -> canonical va, the reverse of _deviceTwins.
     std::map<std::pair<Addr, VAddr>, VAddr> _twinCanonical;
-    bool _journalOn = false;
-    std::vector<ProtocolEvent> _journal;
     StatGroup _stats;
 
     // --- QoS state (all dormant while _qos.enabled is false) -----------
@@ -992,8 +919,6 @@ class MigrationEngine
     std::map<int, unsigned> _qosQueuedPid;
     //! End-to-end entry-latency EWMAs (the admission fallback model).
     CallCostModel _qosModel;
-    bool _arrivalTraceOn = false;
-    std::vector<QosArrival> _arrivals;
 };
 
 } // namespace flick

@@ -106,7 +106,6 @@ FlickSystem::FlickSystem(SystemConfig config)
     _engine->setHostFallback(_config.hostFallback);
     _engine->setHealthStrikeLimit(_config.healthStrikeLimit);
     _engine->setQos(_config.qos);
-    _engine->setArrivalTrace(_config.arrivalTrace);
 
     // Placement policy (DESIGN.md §11). The policy object always exists
     // (debug().policy() is total), but the engine is only pointed at it

@@ -98,10 +98,11 @@ struct SystemConfig
     /** Progress-less heartbeats before a stalled NxP is quarantined. */
     unsigned healthStrikeLimit = 2;
     /**
-     * Record trace milestones and gauges along the migration path
-     * (DESIGN.md §10). Tracing is passive — a traced run is
-     * tick-for-tick identical to an untraced one — but it allocates, so
-     * it is opt-in; with it off no trace code touches any container.
+     * Record trace milestones and gauges along the migration path, and
+     * QoS front-door decisions as instants (DESIGN.md §10). Tracing is
+     * passive — a traced run is tick-for-tick identical to an untraced
+     * one — but it allocates, so it is opt-in; with it off no trace code
+     * touches any container.
      */
     bool trace = false;
     /**
@@ -140,13 +141,6 @@ struct SystemConfig
      * tick-for-tick identical to a pre-QoS build (tests/qos_test.cpp).
      */
     QosConfig qos;
-    /**
-     * Record every QoS front-door decision (admit / queue / shed with
-     * reason) in a per-run arrival trace readable via
-     * FlickSystem::arrivalTrace(). Passive like the tracer: recording
-     * perturbs nothing, but it allocates, so it is opt-in.
-     */
-    bool arrivalTrace = false;
     /**
      * Per-page access residency counters split by accessor (DESIGN.md
      * §15), read through debug().residency() and the policy view's
@@ -229,14 +223,6 @@ struct SystemConfig
     withTenantWeight(unsigned tenant, unsigned weight)
     {
         qos.setWeight(tenant, weight);
-        return *this;
-    }
-
-    /** Record QoS front-door decisions (see `arrivalTrace`). */
-    SystemConfig &
-    withArrivalTrace(bool on = true)
-    {
-        arrivalTrace = on;
         return *this;
     }
 
@@ -613,16 +599,6 @@ class FlickSystem
     void dumpStats(std::ostream &os);
 
     const SystemConfig &config() const { return _config; }
-
-    /**
-     * The recorded QoS front-door decisions (empty unless
-     * withArrivalTrace() was set). Grows for the run's lifetime.
-     */
-    const std::vector<QosArrival> &
-    arrivalTrace() const
-    {
-        return _engine->arrivalTrace();
-    }
 
     /**
      * QoS tenant id of @p process (its index in load order). Meaningful

@@ -26,6 +26,9 @@ tracePointName(TracePoint p)
       case TracePoint::hostWake: return "hostWake";
       case TracePoint::hostCallStart: return "hostCallStart";
       case TracePoint::hostResume: return "hostResume";
+      case TracePoint::hostForward: return "hostForward";
+      case TracePoint::hostFallback: return "hostFallback";
+      case TracePoint::hostSteered: return "hostSteered";
       case TracePoint::callComplete: return "callComplete";
       case TracePoint::callFailed: return "callFailed";
       case TracePoint::kernelSuspend: return "kernelSuspend";
@@ -35,6 +38,12 @@ tracePointName(TracePoint p)
       case TracePoint::specCommit: return "specCommit";
       case TracePoint::specSquash: return "specSquash";
       case TracePoint::specConflict: return "specConflict";
+      case TracePoint::nxpStackAlloc: return "nxpStackAlloc";
+      case TracePoint::qosAdmit: return "qosAdmit";
+      case TracePoint::qosQueue: return "qosQueue";
+      case TracePoint::qosShed: return "qosShed";
+      case TracePoint::qosDequeue: return "qosDequeue";
+      case TracePoint::qosCancel: return "qosCancel";
     }
     return "?";
 }
@@ -88,6 +97,9 @@ tracePointPhase(TracePoint p)
       case TracePoint::hostWake: return TracePhase::hostDispatch;
       case TracePoint::hostCallStart: return TracePhase::hostExec;
       case TracePoint::hostResume: return TracePhase::hostExec;
+      case TracePoint::hostForward: return TracePhase::hostDescBuild;
+      case TracePoint::hostFallback: return TracePhase::hostExec;
+      case TracePoint::hostSteered: return TracePhase::hostExec;
       case TracePoint::callComplete:
       case TracePoint::callFailed:
       case TracePoint::kernelSuspend:
@@ -97,6 +109,12 @@ tracePointPhase(TracePoint p)
       case TracePoint::specCommit:
       case TracePoint::specSquash:
       case TracePoint::specConflict:
+      case TracePoint::nxpStackAlloc:
+      case TracePoint::qosAdmit:
+      case TracePoint::qosQueue:
+      case TracePoint::qosShed:
+      case TracePoint::qosDequeue:
+      case TracePoint::qosCancel:
         return TracePhase::none;
     }
     return TracePhase::none;
@@ -106,18 +124,15 @@ namespace
 {
 
 bool
-isInstant(TracePoint p)
-{
-    return p == TracePoint::kernelSuspend || p == TracePoint::kernelWake ||
-           p == TracePoint::kernelResume || p == TracePoint::specLaunch ||
-           p == TracePoint::specCommit || p == TracePoint::specSquash ||
-           p == TracePoint::specConflict;
-}
-
-bool
 isTerminal(TracePoint p)
 {
     return p == TracePoint::callComplete || p == TracePoint::callFailed;
+}
+
+bool
+isInstant(TracePoint p)
+{
+    return tracePointPhase(p) == TracePhase::none && !isTerminal(p);
 }
 
 /**
@@ -143,6 +158,9 @@ pointTrack(TracePoint p, unsigned device)
       case TracePoint::hostWake:
       case TracePoint::hostCallStart:
       case TracePoint::hostResume:
+      case TracePoint::hostForward:
+      case TracePoint::hostFallback:
+      case TracePoint::hostSteered:
       case TracePoint::callComplete:
       case TracePoint::callFailed:
         return {1, 1};
@@ -153,6 +171,12 @@ pointTrack(TracePoint p, unsigned device)
       case TracePoint::specCommit:
       case TracePoint::specSquash:
       case TracePoint::specConflict:
+      case TracePoint::nxpStackAlloc:
+      case TracePoint::qosAdmit:
+      case TracePoint::qosQueue:
+      case TracePoint::qosShed:
+      case TracePoint::qosDequeue:
+      case TracePoint::qosCancel:
         return {1, 2};
       case TracePoint::dmaToNxpStart:
       case TracePoint::dmaToHostStart:
@@ -309,7 +333,6 @@ Tracer::dumpJson(std::ostream &os) const
     };
     std::unordered_map<std::uint64_t, OpenSlice> open;
     std::unordered_map<std::uint64_t, TrackRef> lastTrack;
-    std::unordered_map<std::uint64_t, bool> flowStarted;
 
     for (const auto &e : _events) {
         TrackRef tr = pointTrack(e.point, e.device);
@@ -317,9 +340,9 @@ Tracer::dumpJson(std::ostream &os) const
             std::snprintf(buf, sizeof(buf),
                           "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\","
                           "\"ts\":%s,\"pid\":%d,\"tid\":%d,"
-                          "\"args\":{\"task\":%d}}",
+                          "\"args\":{\"task\":%d,\"arg\":%" PRIu64 "}}",
                           tracePointName(e.point), usStr(e.tick).c_str(),
-                          tr.pid, tr.tid, e.pid);
+                          tr.pid, tr.tid, e.pid, e.arg);
             emit(buf);
             continue;
         }
@@ -346,7 +369,6 @@ Tracer::dumpJson(std::ostream &os) const
                           "\"tid\":%d}",
                           e.callId, usStr(e.tick).c_str(), tr.pid, tr.tid);
             emit(buf);
-            flowStarted[e.callId] = true;
         } else if (isTerminal(e.point)) {
             std::snprintf(buf, sizeof(buf),
                           "{\"name\":\"call\",\"cat\":\"call\",\"ph\":\"f\","

@@ -43,8 +43,10 @@ namespace flick
 /**
  * Protocol milestones instrumented along the migration path. Each
  * milestone both closes the call's currently open phase and (except the
- * terminal ones) opens the phase tracePointPhase() maps it to. The
- * kernel* entries are instantaneous markers that do not shift phases.
+ * terminal ones) opens the phase tracePointPhase() maps it to. Instants
+ * (the points that open no phase and are not terminal) are markers that
+ * do not shift phases; the qos* instants record QoS front-door
+ * decisions (DESIGN.md §14).
  */
 enum class TracePoint : std::uint8_t
 {
@@ -60,8 +62,11 @@ enum class TracePoint : std::uint8_t
     dmaToHostStart, ///< d2h descriptor handed to the DMA engine
     dmaToHostDone,  ///< d2h DMA complete; MSI raised toward the host
     hostWake,       ///< host IRQ handler wakes the suspended task
-    hostCallStart,  ///< host dispatches a callback (or fallback twin)
+    hostCallStart,  ///< host dispatches a callback from an NxP
     hostResume,     ///< host resumes the original frame after the return
+    hostForward,    ///< host kernel forwards a device-to-device call
+    hostFallback,   ///< host re-dispatches a failed call to its host twin
+    hostSteered,    ///< placement policy runs the host twin instead
     callComplete,   ///< future completed; closes the call
     callFailed,     ///< call failed (deadline/cancel/device lost)
     kernelSuspend,  ///< instant: kernel suspends a task for migration
@@ -71,6 +76,12 @@ enum class TracePoint : std::uint8_t
     specCommit,     ///< instant: speculative host run committed (host won)
     specSquash,     ///< instant: speculation squashed (NxP won / abort)
     specConflict,   ///< instant: read/write conflict killed the speculation
+    nxpStackAlloc,  ///< instant: first migration allocated an NxP stack
+    qosAdmit,       ///< instant: front door admitted the call
+    qosQueue,       ///< instant: call parked in its tenant's queue
+    qosShed,        ///< instant: call refused (arg is the ShedReason)
+    qosDequeue,     ///< instant: queued call left the queue, admitted
+    qosCancel,      ///< instant: cancel() lifted a queued call out
 };
 
 /** Latency-attribution phases a round trip decomposes into (Table III). */
@@ -101,7 +112,7 @@ enum class TraceGauge : std::uint8_t
     inFlightCalls, ///< calls submitted but not yet completed/failed
 };
 
-/** Stable lowerCamel names, matching the journal/stat naming style. */
+/** Stable lowerCamel names ("?" for a value outside the enum). */
 const char *tracePointName(TracePoint p);
 const char *tracePhaseName(TracePhase ph);
 const char *traceGaugeName(TraceGauge g);
@@ -117,7 +128,10 @@ struct TraceEvent
     std::uint8_t device = 0;  ///< device index (0 for host-side points)
     int pid = 0;              ///< task the call belongs to
     std::uint64_t callId = 0; ///< generation token following the call
-    std::uint64_t arg = 0;    ///< point-specific detail (target VA, ...)
+    /// Point-specific detail: target VA, return value, NxP stack top,
+    /// or for QoS decisions the admission estimate in ticks (the
+    /// ShedReason for qosShed).
+    std::uint64_t arg = 0;
 };
 
 /** One gauge sample. */
@@ -236,8 +250,9 @@ class Tracer
      * Write a Chrome/Perfetto `trace_event` JSON document: one process
      * per machine, one track per core / DMA engine, "X" slices for
      * phases, flow arrows ("s"/"t"/"f") following callId across
-     * machines, counter tracks for the gauges and instant markers for
-     * the kernel points. Load in ui.perfetto.dev or chrome://tracing.
+     * machines, counter tracks for the gauges and instant markers (with
+     * their task and arg) for the instant points. Load in
+     * ui.perfetto.dev or chrome://tracing.
      */
     void dumpJson(std::ostream &os) const;
 

@@ -41,10 +41,10 @@ class ConcurrentCallTest : public ::testing::Test
 {
   protected:
     void
-    boot(unsigned devices = 1)
+    boot(unsigned devices = 1, bool traced = false)
     {
         sys = std::make_unique<FlickSystem>(
-            SystemConfig{}.withDevices(devices));
+            SystemConfig{}.withDevices(devices).withTrace(traced));
         Program prog;
         workloads::addMicrobench(prog);
         if (devices > 1)
@@ -52,16 +52,16 @@ class ConcurrentCallTest : public ::testing::Test
         proc = &sys->load(prog);
     }
 
-    /** Steps recorded for @p pid, in order. */
-    std::vector<ProtocolStep>
-    stepsFor(int pid)
+    /** Trace points recorded for @p pid, in order. */
+    std::vector<TracePoint>
+    pointsFor(int pid)
     {
-        std::vector<ProtocolStep> steps;
-        for (const ProtocolEvent &e : sys->debug().engine().journal()) {
+        std::vector<TracePoint> points;
+        for (const TraceEvent &e : sys->debug().trace().events()) {
             if (e.pid == pid)
-                steps.push_back(e.step);
+                points.push_back(e.point);
         }
-        return steps;
+        return points;
     }
 
     std::unique_ptr<FlickSystem> sys;
@@ -143,12 +143,11 @@ TEST_F(ConcurrentCallTest, FourThreadsOverlapOnOneDevice)
 
 TEST_F(ConcurrentCallTest, PerThreadJournalKeepsFigure2Order)
 {
-    boot();
+    boot(1, true);
     Task &t1 = sys->spawnThread(*proc);
     Task &t2 = sys->spawnThread(*proc);
     Task &t3 = sys->spawnThread(*proc);
 
-    sys->debug().engine().enableJournal();
     std::vector<CallFuture> futures;
     futures.push_back(sys->submit(*proc, CallSpec("nxp_add")
                                              .withArgs({1, 10})));
@@ -165,26 +164,24 @@ TEST_F(ConcurrentCallTest, PerThreadJournalKeepsFigure2Order)
         EXPECT_EQ(futures[i].wait(), 11 + i);
 
     // Interleaved globally, but each thread must still walk Figure 2's
-    // (a)..(g) order: fault, send, DMA, pickup, run, return.
-    const std::vector<ProtocolStep> want = {
-        ProtocolStep::hostNxFault,   ProtocolStep::hostSendCall,
-        ProtocolStep::dmaToNxp,      ProtocolStep::nxpPickup,
-        ProtocolStep::nxpCallStart,  ProtocolStep::nxpSendReturn,
-        ProtocolStep::hostReturn,
+    // (a)..(g) order: fault, first-migration stack, suspend, DMA, run,
+    // return, wake, resume.
+    using TP = TracePoint;
+    const std::vector<TracePoint> want = {
+        TP::callEntry,      TP::hostNxFault,   TP::hostDescBuild,
+        TP::nxpStackAlloc,  TP::kernelSuspend, TP::dmaToNxpStart,
+        TP::dmaToNxpDone,   TP::nxpCallStart,  TP::nxpDescBuild,
+        TP::dmaToHostStart, TP::dmaToHostDone, TP::kernelWake,
+        TP::hostWake,       TP::kernelResume,  TP::hostResume,
+        TP::callComplete,
     };
-    for (const CallFuture &f : futures) {
-        std::vector<ProtocolStep> steps = stepsFor(f.pid());
-        // Drop the one-time stack allocation, which depends on history.
-        steps.erase(std::remove(steps.begin(), steps.end(),
-                                ProtocolStep::nxpStackAlloc),
-                    steps.end());
-        EXPECT_EQ(steps, want) << "pid " << f.pid();
-    }
+    for (const CallFuture &f : futures)
+        EXPECT_EQ(pointsFor(f.pid()), want) << "pid " << f.pid();
 
-    // Journal timestamps are globally nondecreasing.
-    const auto &journal = sys->debug().engine().journal();
-    for (std::size_t i = 1; i < journal.size(); ++i)
-        EXPECT_GE(journal[i].when, journal[i - 1].when);
+    // Trace timestamps are globally nondecreasing.
+    const auto &events = sys->debug().trace().events();
+    for (std::size_t i = 1; i < events.size(); ++i)
+        EXPECT_GE(events[i].tick, events[i - 1].tick);
 
     sys->exitThread(t1);
     sys->exitThread(t2);

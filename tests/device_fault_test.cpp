@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -278,8 +279,11 @@ TEST(HostFallback, MidCallDeviceLossFailsOverBitIdentically)
     }
     ASSERT_EQ(golden, (std::vector<std::uint64_t>{42, 21, 0}));
 
-    auto [sys, proc] = makeSystem(
-        SystemConfig{}.withHostFallback().withHealthStrikeLimit(1), true);
+    auto [sys, proc] = makeSystem(SystemConfig{}
+                                      .withHostFallback()
+                                      .withHealthStrikeLimit(1)
+                                      .withTrace(),
+                                  true);
     sys->debug().engine().killDevice(0);
     // First call: descriptor fired at a dead device -> heartbeat
     // quarantine -> rescued mid-flight by the host twin.
@@ -303,6 +307,15 @@ TEST(HostFallback, MidCallDeviceLossFailsOverBitIdentically)
     EXPECT_GE(stats.get("failovers_dev0"), 3u);
     EXPECT_EQ(stats.get("quarantines_dev0"), 1u);
     EXPECT_EQ(stats.get("calls_failed"), 0u);
+    // Each call re-ran on its host twin exactly once, mid-flight or at
+    // the fault, and the trace names that re-dispatch.
+    std::map<std::uint64_t, int> fallbacks;
+    for (const TraceEvent &e : sys->debug().trace().events())
+        if (e.point == TracePoint::hostFallback)
+            ++fallbacks[e.callId];
+    EXPECT_EQ(fallbacks.size(), 3u);
+    for (const auto &[id, n] : fallbacks)
+        EXPECT_EQ(n, 1) << "call " << id;
     delete sys;
 }
 

@@ -110,16 +110,24 @@ TEST_F(MultiNxpTest, DeviceToDeviceCallForwardsThroughHost)
     EXPECT_GE(sys->debug().kernel().stats().get("suspensions"), 3u);
 }
 
-TEST_F(MultiNxpTest, ForwardAppearsInJournal)
+TEST_F(MultiNxpTest, ForwardAppearsInTrace)
 {
+    config.withTrace();
     boot();
-    sys->call(*proc, "nxp_add", {0, 0}); // allocate dev0 stack
-    sys->debug().engine().enableJournal();
     sys->call(*proc, "dev0_chain", {1});
-    bool saw_forward = false;
-    for (const auto &e : sys->debug().engine().journal())
-        saw_forward |= e.step == ProtocolStep::hostForward;
-    EXPECT_TRUE(saw_forward);
+    // One forward, toward device 1, carrying the forwarded target; it
+    // opens the same descriptor-build phase a host-originated call does.
+    int forwards = 0;
+    for (const TraceEvent &e : sys->debug().trace().events()) {
+        if (e.point != TracePoint::hostForward)
+            continue;
+        ++forwards;
+        EXPECT_EQ(e.device, 1u);
+        EXPECT_EQ(e.arg, proc->image.symbol("dev1_scale"));
+    }
+    EXPECT_EQ(forwards, 1);
+    EXPECT_EQ(tracePointPhase(TracePoint::hostForward),
+              TracePhase::hostDescBuild);
 }
 
 TEST_F(MultiNxpTest, SecondDeviceMemoryIsSeparate)

@@ -235,8 +235,10 @@ TEST(PlacementLeastLoaded, NeverChoosesAQuarantinedDevice)
 
 TEST(PlacementProfileGuided, SteersTinyCallsToTheHostTwin)
 {
-    auto [sys, proc] = makeMixSystem(
-        SystemConfig{}.withPlacement(PlacementKind::profileGuided));
+    auto [sys, proc] = makeMixSystem(SystemConfig{}
+                                         .withPlacement(
+                                             PlacementKind::profileGuided)
+                                         .withTrace());
     for (std::uint64_t i = 0; i < 30; ++i)
         EXPECT_EQ(sys->call(*proc, "mix_tiny", {i, 1}), i + 1);
     const StatGroup &st = sys->debug().engine().stats();
@@ -250,6 +252,17 @@ TEST(PlacementProfileGuided, SteersTinyCallsToTheHostTwin)
     // Steered runs are not failovers.
     EXPECT_EQ(st.get("failovers"), 0u);
     EXPECT_EQ(st.get("fallback_returns"), 0u);
+    // The trace names each steered dispatch, on the host twin.
+    VAddr twin = proc->image.symbol("mix_tiny__host");
+    int steered = 0;
+    for (const TraceEvent &e : sys->debug().trace().events()) {
+        EXPECT_NE(e.point, TracePoint::hostFallback);
+        if (e.point == TracePoint::hostSteered) {
+            ++steered;
+            EXPECT_EQ(e.arg, twin);
+        }
+    }
+    EXPECT_EQ(steered, 29);
     delete sys;
 }
 

@@ -1,13 +1,14 @@
 /**
  * @file
- * Protocol-journal tests: the recorded migration steps must follow the
- * Figure 2 walkthrough exactly, with monotonically non-decreasing
+ * Protocol-order tests: the trace stream of a cross-ISA call must follow
+ * the Figure 2 walkthrough exactly, with monotonically non-decreasing
  * timestamps and the right targets.
  */
 
 #include <gtest/gtest.h>
 
 #include "flick/system.hh"
+#include "sim/trace.hh"
 #include "workloads/microbench.hh"
 
 namespace flick
@@ -21,39 +22,53 @@ class ProtocolTest : public ::testing::Test
     void
     boot()
     {
-        sys = std::make_unique<FlickSystem>(config);
+        sys = std::make_unique<FlickSystem>(SystemConfig{}.withTrace());
         Program prog;
         workloads::addMicrobench(prog);
         proc = &sys->load(prog);
-        // Exclude the one-time stack allocation from journals.
+        // Exclude the one-time stack allocation from the streams.
         sys->call(*proc, "nxp_noop");
-        sys->debug().engine().enableJournal();
+        sys->debug().trace().reset();
     }
 
-    std::vector<ProtocolStep>
-    steps() const
+    const std::vector<TraceEvent> &
+    events() const
     {
-        std::vector<ProtocolStep> out;
-        for (const auto &e : sys->debug().engine().journal())
-            out.push_back(e.step);
+        return sys->debug().trace().events();
+    }
+
+    std::vector<TracePoint>
+    points() const
+    {
+        std::vector<TracePoint> out;
+        for (const TraceEvent &e : events())
+            out.push_back(e.point);
         return out;
     }
 
-    SystemConfig config;
     std::unique_ptr<FlickSystem> sys;
     Process *proc = nullptr;
 };
+
+using TP = TracePoint;
 
 TEST_F(ProtocolTest, SimpleCallFollowsFigure2a2b2f2g)
 {
     boot();
     sys->call(*proc, "nxp_add", {1, 2});
-    EXPECT_EQ(steps(),
-              (std::vector<ProtocolStep>{
-                  ProtocolStep::hostNxFault, ProtocolStep::hostSendCall,
-                  ProtocolStep::dmaToNxp, ProtocolStep::nxpPickup,
-                  ProtocolStep::nxpCallStart, ProtocolStep::nxpSendReturn,
-                  ProtocolStep::hostReturn}));
+    EXPECT_EQ(points(),
+              (std::vector<TracePoint>{
+                  // (a) host calls the NxP function: fault, descriptor,
+                  // suspend, and only then the DMA.
+                  TP::callEntry, TP::hostNxFault, TP::hostDescBuild,
+                  TP::kernelSuspend, TP::dmaToNxpStart, TP::dmaToNxpDone,
+                  // (b) the function starts on the NxP.
+                  TP::nxpCallStart,
+                  // (f) the NxP returns.
+                  TP::nxpDescBuild, TP::dmaToHostStart, TP::dmaToHostDone,
+                  // (g) the host gets the return value and continues.
+                  TP::kernelWake, TP::hostWake, TP::kernelResume,
+                  TP::hostResume, TP::callComplete}));
 }
 
 TEST_F(ProtocolTest, NestedCallFollowsFullFigure2)
@@ -61,52 +76,59 @@ TEST_F(ProtocolTest, NestedCallFollowsFullFigure2)
     boot();
     // host -> nxp_calls_host(1) -> host_noop: the complete (a)..(g).
     sys->call(*proc, "nxp_calls_host", {1});
-    EXPECT_EQ(steps(),
-              (std::vector<ProtocolStep>{
+    EXPECT_EQ(points(),
+              (std::vector<TracePoint>{
                   // (a) host calls the NxP function.
-                  ProtocolStep::hostNxFault, ProtocolStep::hostSendCall,
-                  ProtocolStep::dmaToNxp,
-                  // (b) descriptor picked up, function starts on NxP.
-                  ProtocolStep::nxpPickup, ProtocolStep::nxpCallStart,
+                  TP::callEntry, TP::hostNxFault, TP::hostDescBuild,
+                  TP::kernelSuspend, TP::dmaToNxpStart, TP::dmaToNxpDone,
+                  // (b) the function starts on the NxP.
+                  TP::nxpCallStart,
                   // (c) the NxP calls a host function.
-                  ProtocolStep::nxpFault, ProtocolStep::nxpSendCall,
+                  TP::nxpFault, TP::nxpDescBuild, TP::dmaToHostStart,
+                  TP::dmaToHostDone,
                   // (d) the host receives it and runs the function.
-                  ProtocolStep::hostWake, ProtocolStep::hostCallStart,
+                  TP::kernelWake, TP::hostWake, TP::kernelResume,
+                  TP::hostCallStart,
                   // (e) the host sends the return descriptor back.
-                  ProtocolStep::hostSendReturn,
+                  TP::hostDescBuild, TP::kernelSuspend, TP::dmaToNxpStart,
+                  TP::dmaToNxpDone,
                   // (f) the NxP resumes and eventually returns.
-                  ProtocolStep::nxpResume, ProtocolStep::nxpSendReturn,
+                  TP::nxpResume, TP::nxpDescBuild, TP::dmaToHostStart,
+                  TP::dmaToHostDone,
                   // (g) the host gets the return value and continues.
-                  ProtocolStep::hostReturn}));
+                  TP::kernelWake, TP::hostWake, TP::kernelResume,
+                  TP::hostResume, TP::callComplete}));
 }
 
 TEST_F(ProtocolTest, TimestampsAreMonotonic)
 {
     boot();
     sys->call(*proc, "nxp_calls_host", {3});
-    const auto &j = sys->debug().engine().journal();
+    const auto &j = events();
     ASSERT_FALSE(j.empty());
     for (std::size_t i = 1; i < j.size(); ++i)
-        EXPECT_GE(j[i].when, j[i - 1].when);
+        EXPECT_GE(j[i].tick, j[i - 1].tick);
 }
 
 TEST_F(ProtocolTest, JournalCarriesTargets)
 {
     boot();
     sys->call(*proc, "nxp_add", {1, 2});
-    const auto &j = sys->debug().engine().journal();
     VAddr target = proc->image.symbol("nxp_add");
-    EXPECT_EQ(j[0].step, ProtocolStep::hostNxFault);
-    EXPECT_EQ(j[0].addr, target);
-    EXPECT_EQ(j[0].pid, proc->task->pid);
-    bool saw_pickup = false;
-    for (const auto &e : j) {
-        if (e.step == ProtocolStep::nxpPickup) {
-            EXPECT_EQ(e.addr, target);
-            saw_pickup = true;
+    bool saw_fault = false, saw_start = false;
+    for (const TraceEvent &e : events()) {
+        if (e.point == TP::hostNxFault) {
+            EXPECT_EQ(e.arg, target);
+            EXPECT_EQ(e.pid, proc->task->pid);
+            saw_fault = true;
+        }
+        if (e.point == TP::nxpCallStart) {
+            EXPECT_EQ(e.arg, target);
+            saw_start = true;
         }
     }
-    EXPECT_TRUE(saw_pickup);
+    EXPECT_TRUE(saw_fault);
+    EXPECT_TRUE(saw_start);
 }
 
 TEST_F(ProtocolTest, RecursionNestsJournalSymmetrically)
@@ -116,11 +138,11 @@ TEST_F(ProtocolTest, RecursionNestsJournalSymmetrically)
     // Counts must balance: every fault produces exactly one return.
     int host_faults = 0, host_returns = 0;
     int nxp_faults = 0, nxp_resumes = 0;
-    for (const auto &e : sys->debug().engine().journal()) {
-        host_faults += e.step == ProtocolStep::hostNxFault;
-        host_returns += e.step == ProtocolStep::hostReturn;
-        nxp_faults += e.step == ProtocolStep::nxpFault;
-        nxp_resumes += e.step == ProtocolStep::nxpResume;
+    for (const TraceEvent &e : events()) {
+        host_faults += e.point == TP::hostNxFault;
+        host_returns += e.point == TP::hostResume;
+        nxp_faults += e.point == TP::nxpFault;
+        nxp_resumes += e.point == TP::nxpResume;
     }
     EXPECT_EQ(host_faults, host_returns);
     EXPECT_EQ(nxp_faults, nxp_resumes);
@@ -133,45 +155,46 @@ TEST_F(ProtocolTest, DmaFiresOnlyAfterSuspend)
 {
     boot();
     sys->call(*proc, "nxp_add", {1, 2});
-    const auto &j = sys->debug().engine().journal();
-    // hostSendCall (suspension complete) strictly precedes dmaToNxp.
-    std::size_t send = 0, dma = 0;
-    for (std::size_t i = 0; i < j.size(); ++i) {
-        if (j[i].step == ProtocolStep::hostSendCall)
-            send = i;
-        if (j[i].step == ProtocolStep::dmaToNxp)
-            dma = i;
+    // The task's suspension strictly precedes the descriptor DMA
+    // (Section IV-D): the kernel fires it after the context switch.
+    const TraceEvent *suspend = nullptr, *dma = nullptr;
+    for (const TraceEvent &e : events()) {
+        if (e.pid != proc->task->pid)
+            continue;
+        if (e.point == TP::kernelSuspend && !suspend)
+            suspend = &e;
+        if (e.point == TP::dmaToNxpStart && !dma)
+            dma = &e;
     }
-    EXPECT_LT(send, dma);
+    ASSERT_NE(suspend, nullptr);
+    ASSERT_NE(dma, nullptr);
+    EXPECT_LT(suspend, dma);
+    EXPECT_LT(suspend->tick, dma->tick);
 }
 
-TEST_F(ProtocolTest, JournalDisabledByDefault)
-{
-    config = {};
-    sys = std::make_unique<FlickSystem>(config);
-    Program prog;
-    workloads::addMicrobench(prog);
-    proc = &sys->load(prog);
-    sys->call(*proc, "nxp_add", {1, 2});
-    EXPECT_TRUE(sys->debug().engine().journal().empty());
-}
-
-TEST_F(ProtocolTest, EnableClearsPreviousJournal)
+TEST_F(ProtocolTest, FirstMigrationAllocatesTheNxpStack)
 {
     boot();
-    sys->call(*proc, "nxp_add", {1, 2});
-    EXPECT_FALSE(sys->debug().engine().journal().empty());
-    sys->debug().engine().enableJournal();
-    EXPECT_TRUE(sys->debug().engine().journal().empty());
-}
-
-TEST(ProtocolStepNames, AllDistinct)
-{
-    for (int i = 0; i <= static_cast<int>(ProtocolStep::hostReturn); ++i) {
-        const char *name =
-            protocolStepName(static_cast<ProtocolStep>(i));
-        EXPECT_STRNE(name, "?");
+    Task &fresh = sys->spawnThread(*proc);
+    sys->submit(*proc, CallSpec("nxp_add").withArgs({1, 2}).onThread(fresh))
+        .wait();
+    // Exactly one allocation, carrying the new stack top, before the
+    // call's descriptor leaves the host.
+    int allocs = 0;
+    bool dma_seen = false;
+    for (const TraceEvent &e : events()) {
+        if (e.pid != fresh.pid)
+            continue;
+        if (e.point == TP::nxpStackAlloc) {
+            ++allocs;
+            EXPECT_FALSE(dma_seen);
+            EXPECT_EQ(e.arg, fresh.nxpStackTop[0]);
+        }
+        dma_seen |= e.point == TP::dmaToNxpStart;
     }
+    EXPECT_EQ(allocs, 1);
+    EXPECT_TRUE(dma_seen);
+    sys->exitThread(fresh);
 }
 
 } // namespace

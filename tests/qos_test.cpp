@@ -6,7 +6,7 @@
  * The backbone invariants:
  *  - QoS disabled (the default) is tick-for-tick identical to the seed
  *    system — same final tick, same stats dump, zero qos.* counters —
- *    even with weights or the arrival trace configured.
+ *    even with weights configured or tracing on.
  *  - QoS enabled but unconstrained (budgets far above the offered
  *    concurrency) admits everything and leaves the event stream
  *    untouched: only the qos.* counters differ.
@@ -16,6 +16,8 @@
  *  - The weighted-fair dequeue follows the min-virtual-time order, and
  *    cancel() lifts a queued call out of its tenant queue without it
  *    ever entering the engine.
+ *  - Every front-door decision shows up in the trace as a qos* instant
+ *    carrying its admission estimate or shed reason.
  */
 
 #include <gtest/gtest.h>
@@ -86,6 +88,17 @@ statLines(FlickSystem &sys)
     return lines;
 }
 
+/** The QoS front-door decision instants of a traced run, in order. */
+std::vector<TraceEvent>
+qosDecisions(FlickSystem &sys)
+{
+    std::vector<TraceEvent> out;
+    for (const TraceEvent &e : sys.debug().trace().events())
+        if (std::string(tracePointName(e.point)).rfind("qos", 0) == 0)
+            out.push_back(e);
+    return out;
+}
+
 /** Lines present in @p after but not in @p before (added or changed). */
 std::vector<std::string>
 diffLines(const std::set<std::string> &before,
@@ -126,12 +139,12 @@ TEST(QosOff, TickIdenticalToSeedAndCountersZero)
         delete sys;
     }
     {
-        // Arrival trace on, QoS off: nothing to record, nothing perturbed.
-        auto [sys, proc] = makeMixSystem(
-            SystemConfig{}.withQos(false).withArrivalTrace());
+        // Tracing on, QoS off: no front-door decision to record.
+        auto [sys, proc] =
+            makeMixSystem(SystemConfig{}.withQos(false).withTrace());
         EXPECT_EQ(runHotStorm(*sys, *proc, 4, 300), ref);
-        EXPECT_EQ(statsDump(*sys), ref_stats);
-        EXPECT_TRUE(sys->arrivalTrace().empty());
+        EXPECT_FALSE(sys->debug().trace().events().empty());
+        EXPECT_TRUE(qosDecisions(*sys).empty());
         delete sys;
     }
 }
@@ -243,7 +256,8 @@ TEST(QosQueue, AdmitQueueShedOrderAndDrain)
     QosConfig q;
     q.tenantInFlight = 1;
     q.tenantQueueCap = 1;
-    auto [sysp, procp] = makeMixSystem(SystemConfig{}.withQos(q), 1);
+    auto [sysp, procp] =
+        makeMixSystem(SystemConfig{}.withQos(q).withTrace(), 1);
     FlickSystem &sys = *sysp;
     Process &proc = *procp;
     Task &t2 = sys.spawnThread(proc);
@@ -274,6 +288,22 @@ TEST(QosQueue, AdmitQueueShedOrderAndDrain)
     EXPECT_EQ(st.get("qos.dequeued"), 1u);
     EXPECT_EQ(st.get("qos.dequeued_cr3#0"), 1u);
     EXPECT_EQ(sys.debug().engine().qosQueued(0), 0u);
+
+    // The trace saw the same four decisions, in order, each naming its
+    // call; the shed instant carries its reason.
+    std::vector<TraceEvent> d = qosDecisions(sys);
+    ASSERT_EQ(d.size(), 4u);
+    EXPECT_EQ(d[0].point, TracePoint::qosAdmit);
+    EXPECT_EQ(d[0].pid, f1.pid());
+    EXPECT_GT(d[0].arg, 0u); // the admission estimate
+    EXPECT_EQ(d[1].point, TracePoint::qosQueue);
+    EXPECT_EQ(d[1].pid, f2.pid());
+    EXPECT_EQ(d[2].point, TracePoint::qosShed);
+    EXPECT_EQ(d[2].pid, f3.pid());
+    EXPECT_EQ(d[2].arg, static_cast<std::uint64_t>(ShedReason::queueFull));
+    EXPECT_EQ(d[3].point, TracePoint::qosDequeue);
+    EXPECT_EQ(d[3].pid, f2.pid());
+    EXPECT_GT(d[3].tick, d[2].tick);
     delete sysp;
 }
 
@@ -282,7 +312,8 @@ TEST(QosQueue, CancelLiftsQueuedCallOut)
     QosConfig q;
     q.tenantInFlight = 1;
     q.tenantQueueCap = 4;
-    auto [sysp, procp] = makeMixSystem(SystemConfig{}.withQos(q), 1);
+    auto [sysp, procp] =
+        makeMixSystem(SystemConfig{}.withQos(q).withTrace(), 1);
     FlickSystem &sys = *sysp;
     Process &proc = *procp;
     Task &t2 = sys.spawnThread(proc);
@@ -305,6 +336,15 @@ TEST(QosQueue, CancelLiftsQueuedCallOut)
     EXPECT_EQ(st.get("qos.cancelled_queued"), 1u);
     EXPECT_EQ(st.get("qos.dequeued"), 0u);
     EXPECT_EQ(sys.debug().engine().qosQueued(0), 0u);
+    int cancels = 0;
+    for (const TraceEvent &e : qosDecisions(sys)) {
+        EXPECT_NE(e.point, TracePoint::qosDequeue);
+        if (e.point == TracePoint::qosCancel) {
+            ++cancels;
+            EXPECT_EQ(e.pid, f2.pid());
+        }
+    }
+    EXPECT_EQ(cancels, 1);
 
     // The thread is reusable after its queued call was cancelled.
     CallFuture f3 = sys.submit(
@@ -349,9 +389,9 @@ TEST(QosWfq, PickFollowsWeightedVirtualTime)
 TEST(QosWfq, TwoTenantDequeueIsDeterministicAndFair)
 {
     // Two processes on one device, budget 1 each, both queues loaded.
-    // The run must be deterministic (identical arrival trace twice) and
+    // The run must be deterministic (identical QoS decisions twice) and
     // both tenants' queued calls must all drain through the pump.
-    auto runOnce = [](std::vector<QosArrival> &trace_out) {
+    auto runOnce = [](std::vector<TraceEvent> &trace_out) {
         QosConfig q;
         q.tenantInFlight = 1;
         q.tenantQueueCap = 8;
@@ -359,7 +399,7 @@ TEST(QosWfq, TwoTenantDequeueIsDeterministicAndFair)
                             .withDevices(1)
                             .withQos(q)
                             .withTenantWeight(0, 3)
-                            .withArrivalTrace());
+                            .withTrace());
         Program prog;
         workloads::addPlacementMix(prog, 1);
         Process &pa = sys.load(prog);
@@ -398,24 +438,21 @@ TEST(QosWfq, TwoTenantDequeueIsDeterministicAndFair)
         EXPECT_EQ(st.get("qos.dequeued_cr3#0") +
                       st.get("qos.dequeued_cr3#1"),
                   st.get("qos.dequeued"));
-        trace_out = sys.arrivalTrace();
+        EXPECT_EQ(st.get("qos.dequeued_cr3#0"), 3u);
+        EXPECT_EQ(st.get("qos.dequeued_cr3#1"), 3u);
+        trace_out = qosDecisions(sys);
     };
 
-    std::vector<QosArrival> t1, t2;
+    std::vector<TraceEvent> t1, t2;
     runOnce(t1);
     runOnce(t2);
+    EXPECT_EQ(t1.size(), 14u); // 8 submits + 6 dequeues
     ASSERT_EQ(t1.size(), t2.size());
     for (std::size_t i = 0; i < t1.size(); ++i) {
-        EXPECT_EQ(t1[i].when, t2[i].when) << i;
-        EXPECT_EQ(t1[i].tenant, t2[i].tenant) << i;
-        EXPECT_EQ(t1[i].outcome, t2[i].outcome) << i;
+        EXPECT_EQ(t1[i].tick, t2[i].tick) << i;
+        EXPECT_EQ(t1[i].point, t2[i].point) << i;
+        EXPECT_EQ(t1[i].pid, t2[i].pid) << i;
     }
-    unsigned dequeued[2] = {0, 0};
-    for (const QosArrival &a : t1)
-        if (a.outcome == QosArrival::Outcome::dequeued)
-            ++dequeued[a.tenant];
-    EXPECT_EQ(dequeued[0], 3u);
-    EXPECT_EQ(dequeued[1], 3u);
 }
 
 // --- Capacity loss -------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -280,6 +281,27 @@ TEST(TraceOff, ZeroFootprintByDefault)
     // Not just empty: never touched. The off path must allocate nothing.
     EXPECT_EQ(trace.events().capacity(), 0u);
     EXPECT_EQ(trace.gauges().capacity(), 0u);
+
+    // The QoS front door's admit/queue/shed/dequeue decisions stay off
+    // the trace too.
+    QosConfig q;
+    q.tenantInFlight = 1;
+    q.tenantQueueCap = 1;
+    FlickSystem qsys(SystemConfig{}.withQos(q));
+    Process &qproc = qsys.load(prog);
+    std::vector<CallFuture> futs;
+    futs.push_back(qsys.submit(qproc, CallSpec("nxp_add").withArgs({1, 2})));
+    for (int i = 0; i < 2; ++i) {
+        Task &t = qsys.spawnThread(qproc);
+        futs.push_back(qsys.submit(
+            qproc, CallSpec("nxp_add").withArgs({1, 2}).onThread(t)));
+    }
+    for (CallFuture &f : futs)
+        f.wait();
+    EXPECT_EQ(futs[2].status(), CallStatus::shedLoad);
+    EXPECT_EQ(qsys.debug().engine().stats().get("qos.shed"), 1u);
+    EXPECT_EQ(qsys.debug().engine().stats().get("qos.dequeued"), 1u);
+    EXPECT_EQ(qsys.debug().trace().events().capacity(), 0u);
 }
 
 TEST(TraceOff, TickForTickIdenticalToTracedRun)
@@ -302,6 +324,20 @@ TEST(TraceOff, TickForTickIdenticalUnderChaos)
     RunResult on = runWorkload(SystemConfig{}.withChaos(chaos).withTrace());
     EXPECT_EQ(off.finalTick, on.finalTick);
     EXPECT_EQ(off.values, on.values);
+}
+
+TEST(TracePointNames, EveryEnumeratorHasADistinctName)
+{
+    // qosCancel is the last enumerator: the value past it has no name,
+    // so a point appended later must extend this loop.
+    constexpr int last = static_cast<int>(TracePoint::qosCancel);
+    std::set<std::string> names;
+    for (int i = 0; i <= last; ++i) {
+        const char *name = tracePointName(static_cast<TracePoint>(i));
+        EXPECT_STRNE(name, "?") << "point " << i;
+        EXPECT_TRUE(names.insert(name).second) << "duplicate " << name;
+    }
+    EXPECT_STREQ(tracePointName(static_cast<TracePoint>(last + 1)), "?");
 }
 
 // ---------------------------------------------------------------------
@@ -443,11 +479,17 @@ TEST_F(TracedSystem, JsonDocumentParsesBack)
     EXPECT_FALSE(doc["traceEvents"].items.empty());
 
     bool named_host = false, named_nxp = false;
+    int instants = 0;
     for (const JsonValue &e : doc["traceEvents"].items) {
         ASSERT_EQ(e.kind, JsonValue::object);
         ASSERT_TRUE(e.has("ph"));
         const std::string &ph = e["ph"].str;
-        if (ph == "X") {
+        if (ph == "i") {
+            // Instants name their task and carry their arg.
+            EXPECT_TRUE(e["args"].has("task"));
+            EXPECT_TRUE(e["args"].has("arg"));
+            ++instants;
+        } else if (ph == "X") {
             // Complete slices carry a track and a duration.
             EXPECT_TRUE(e.has("ts"));
             EXPECT_TRUE(e.has("dur"));
@@ -465,6 +507,7 @@ TEST_F(TracedSystem, JsonDocumentParsesBack)
     }
     EXPECT_TRUE(named_host);
     EXPECT_TRUE(named_nxp);
+    EXPECT_GT(instants, 0);
 }
 
 TEST_F(TracedSystem, FlowArrowsPairAcrossTracks)
