@@ -30,41 +30,71 @@ echo "all SystemConfig::with* options documented"
 
 echo
 echo "== docs drift guard: flick.* stat families in DESIGN.md =="
-# Every counter family the engine, residency tracker and migrator emit
-# must appear (as flick.<family> / flick.residency.<family>) in the
-# §15 counter reference. Literal key prefixes are extracted from the
-# stat-emission sites; dynamic suffixes (_dev%u, _cr3#<k>, ...) reduce
-# to their literal stem, which the reference spells as e.g.
-# flick.host_to_nxp_calls_dev<k>.
+# Both directions: every counter the engine, residency tracker and
+# migrator emit must be named in the §15 counter reference, and every
+# flick.* name DESIGN.md mentions must still be emitted, so neither a
+# new counter nor a deleted one can leave the docs stale.
+#
+# Keys are the string literals at the emission sites, including the
+# "? ..." / ": ..." continuation lines of a ternary key. A literal
+# followed by "+ std::to_string(...)" is a stem, documented as
+# flick.residency.<stem><k>. Keys bumped through protoStat/failStat also
+# have a per-device flick.<key>_dev<k> split, and tenantStat keys a
+# per-tenant flick.<key>_cr3#<k> split; the docs may name those forms.
+site_literals() {
+    grep -hE "$1" "${@:2}" |
+        grep -oE '"[a-z][a-z_0-9.]*"( \+ std::to_string)?' | tr -d '"'
+}
+engine_sites='_stats\.(inc|set|add)\(|(tenant|proto|fail)Stat\('
+engine_sites+='|^[[:space:]]*[?:] "'
+emitted=$(
+    {
+        site_literals "$engine_sites" src/flick/runtime.cc |
+            sed 's/^/flick./'
+        site_literals '_stats\.(inc|set)\(' src/flick/migrator.cc \
+            src/mem/residency.hh | sed 's/^/flick.residency./'
+    } | sed 's/ + std::to_string$/<k>/' | sort -u
+)
+splits=$(
+    {
+        site_literals '(proto|fail)Stat\(' src/flick/runtime.cc |
+            sed 's/^\(.*\)$/flick.\1_dev<k>/'
+        site_literals 'tenantStat\(' src/flick/runtime.cc |
+            sed 's/^\(.*\)$/flick.\1_cr3#<k>/'
+    } | sort -u
+)
+documented=$(grep -oE 'flick\.[a-z_0-9.#<>*]*' DESIGN.md | sed 's/\.*$//' |
+             sort -u)
 missing=0
-engine_keys=$(grep -hE '_stats\.(inc|set|add)\(|tenantStat\(|protoStat\(|^[[:space:]]*: "' \
-                  src/flick/runtime.cc src/spec/speculation.cc |
-              grep -oE '"[a-z][a-z_0-9.]*' | tr -d '"' | sort -u)
-residency_keys=$(grep -hE '_stats\.(inc|set)\(' src/flick/migrator.cc \
-                     src/mem/residency.hh |
-                 grep -oE '"[a-z][a-z_0-9.]*' | tr -d '"' | sort -u)
-for key in $engine_keys; do
-    if ! grep -qF "flick.$key" DESIGN.md; then
-        echo "DESIGN.md does not mention stat family flick.$key" >&2
+for key in $emitted; do
+    if ! grep -qxF "$key" <<<"$documented"; then
+        echo "DESIGN.md does not mention stat family $key" >&2
         missing=1
     fi
 done
-for key in $residency_keys; do
-    if ! grep -qF "flick.residency.$key" DESIGN.md; then
-        echo "DESIGN.md does not mention stat family flick.residency.$key" >&2
-        missing=1
-    fi
+for name in $documented; do
+    grep -qxF "$name" <<<"$emitted"$'\n'"$splits" && continue
+    # A bare family prefix (flick.qos, flick.residency.*) stands for the
+    # keys under it, so at least one emitted key must start with it.
+    family=${name%\*}
+    family=${family%.}
+    grep -q "^${family//./[.]}[.]" <<<"$emitted" && continue
+    echo "DESIGN.md names stat family $name, which nothing emits" >&2
+    missing=1
 done
 if [ "$missing" -ne 0 ]; then
-    echo "docs drift: add the families above to DESIGN.md §15" >&2
+    echo "docs drift: sync DESIGN.md §15's counter reference with the" \
+         "emission sites" >&2
     exit 1
 fi
-echo "all flick.* stat families documented"
+echo "flick.* stat families and DESIGN.md agree"
 
 echo
 echo "== docs drift guard: TracePoint enumerators in DESIGN.md =="
-# Every milestone and instant of enum class TracePoint must be named, in
-# backticks, in DESIGN.md (the §10 trace-point table).
+# Both directions: every milestone and instant of enum class TracePoint
+# must be named, in backticks, in DESIGN.md, and every point the §10
+# trace-point table lists must be an enumerator the code emits
+# (referenced outside src/sim/trace.{hh,cc}).
 missing=0
 points=$(sed -n '/^enum class TracePoint/,/^};/p' src/sim/trace.hh |
          grep -oE '^[[:space:]]+[a-z][A-Za-z0-9]*,' | tr -d ' ,')
@@ -74,11 +104,23 @@ for point in $points; do
         missing=1
     fi
 done
+tabled=$(awk '/^### Trace points/ { on = 1; next } /^#/ { on = 0 }
+              on && /^\| `/' DESIGN.md |
+         cut -d'|' -f2 | grep -oE '`[a-zA-Z0-9]+`' | tr -d '`')
+for point in $tabled; do
+    if ! grep -rqF --exclude=trace.hh --exclude=trace.cc \
+            "TracePoint::$point" src; then
+        echo "DESIGN.md's trace-point table lists $point, which the" \
+             "code does not emit" >&2
+        missing=1
+    fi
+done
 if [ "$missing" -ne 0 ]; then
-    echo "docs drift: add the trace points above to DESIGN.md §10" >&2
+    echo "docs drift: sync DESIGN.md §10's trace-point table with" \
+         "enum class TracePoint" >&2
     exit 1
 fi
-echo "all TracePoint enumerators documented"
+echo "TracePoint enumerators and DESIGN.md agree"
 
 echo
 echo "== release build + full test suite =="
@@ -109,10 +151,6 @@ echo "== placement bench, sharded residency study smoke =="
 echo
 echo "== SLO bench, smoke mode (overload-survival gates) =="
 ./build/bench/bench_slo --smoke
-
-echo
-echo "== speculation bench, smoke mode (break-even storm gates) =="
-./build/bench/bench_speculation --smoke
 
 echo
 echo "== debug + asan/ubsan build, full test suite with leak checking =="

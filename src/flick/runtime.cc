@@ -3,8 +3,9 @@
 #include "loader/loader.hh"
 #include "mem/residency.hh"
 #include "policy/policy.hh"
+#include "policy/residency_aware.hh"
 #include "sim/chaos.hh"
-#include "spec/speculation.hh"
+#include "vm/page_table.hh"
 
 namespace flick
 {
@@ -70,29 +71,13 @@ struct EnginePlacementView final : PlacementView
         PageResidency pr;
         if (!e._residency)
             return pr;
-        // Untimed debug walk (same shape as the NX-fault tag read):
-        // residency queries are modeled as kernel metadata lookups and
-        // must not perturb timing or stats.
-        Addr table = cr3;
-        std::uint64_t raw = 0;
-        int level = 3;
-        bool leaf = false;
-        for (; level >= 0; --level) {
-            e._mem.readInt(Requester::debug,
-                           table + 8ull * tableIndex(va, level), 8,
-                           raw);
-            if (!(raw & pte::present))
-                return pr;
-            leaf = (level == 0) || (raw & pte::pageSize);
-            if (leaf)
-                break;
-            table = pte::entryAddr(raw);
-        }
-        if (!leaf)
+        // Untimed walk (same as the NX-fault tag read): residency
+        // queries are modeled as kernel metadata lookups and must not
+        // perturb timing or stats.
+        std::optional<DebugTranslation> t = e._ptm.translate(cr3, va);
+        if (!t)
             return pr;
-        std::uint64_t granule = 4096ull << (9 * level);
-        Addr pa = (pte::entryAddr(raw) & ~(granule - 1)) +
-                  (va & (granule - 1));
+        Addr pa = t->pa;
         const PlatformConfig &p = e._mem.platform();
         unsigned dev;
         if (p.inHostDram(pa))
@@ -187,11 +172,12 @@ CallFuture::value() const
 // --- Construction and registration --------------------------------------
 
 MigrationEngine::MigrationEngine(EventQueue &events, MemSystem &mem,
+                                 const PageTableManager &ptm,
                                  const TimingConfig &timing,
                                  Kernel &kernel, IrqController &irq,
                                  Core &host_core)
-    : _events(events), _mem(mem), _timing(timing), _kernel(kernel),
-      _irq(irq), _hostCore(host_core), _stats("flick")
+    : _events(events), _mem(mem), _ptm(ptm), _timing(timing),
+      _kernel(kernel), _irq(irq), _hostCore(host_core), _stats("flick")
 {
 }
 
@@ -571,45 +557,17 @@ MigrationEngine::residencyMajorityDevice(
     // The same access-weighted page vote ResidencyAwarePlacement casts
     // at fault time (DESIGN.md §15), reduced to the question the hint
     // override needs: does one device hold a strict majority?
-    EnginePlacementView view(*this);
-    std::uint64_t host_votes = 0;
-    std::vector<std::uint64_t> dev_votes(_nxp.size(), 0);
-    std::uint64_t seen_pages[8];
-    unsigned seen = 0;
-    for (std::uint64_t arg : args) {
-        if (arg < 4096)
-            continue;
-        std::uint64_t page = arg & ~std::uint64_t(4095);
-        bool dup = false;
-        for (unsigned i = 0; i < seen; ++i)
-            dup = dup || seen_pages[i] == page;
-        if (dup || seen >= 8)
-            continue;
-        seen_pages[seen++] = page;
-        PageResidency pr = view.pageResidency(task.cr3, page);
-        if (!pr.mapped)
-            continue;
-        if (pr.holder < 0) {
-            host_votes += 1 + pr.hostAccesses;
-        } else if (static_cast<unsigned>(pr.holder) < dev_votes.size()) {
-            std::uint64_t touches =
-                static_cast<unsigned>(pr.holder) < pr.deviceAccesses.size()
-                    ? pr.deviceAccesses[pr.holder]
-                    : 0;
-            dev_votes[pr.holder] += 1 + touches;
-        }
-    }
-    std::uint64_t total = host_votes;
+    ResidencyVotes votes =
+        residencyVotes(task.cr3, args, EnginePlacementView(*this));
     int best = -1;
-    for (unsigned d = 0; d < dev_votes.size(); ++d) {
-        total += dev_votes[d];
-        if (!dev_votes[d] ||
+    for (unsigned d = 0; d < votes.device.size(); ++d) {
+        if (!votes.device[d] ||
             _nxp[d].health == DeviceHealth::quarantined)
             continue;
-        if (best < 0 || dev_votes[d] > dev_votes[best])
+        if (best < 0 || votes.device[d] > votes.device[best])
             best = static_cast<int>(d);
     }
-    if (best >= 0 && dev_votes[best] * 2 > total)
+    if (best >= 0 && votes.device[best] * 2 > votes.total)
         return best;
     return -1;
 }
@@ -1034,25 +992,11 @@ MigrationEngine::handleHostStop(int pid, std::uint64_t id, RunResult r)
         Placed p = decidePlacement(task, r.faultVa, home, hostSide);
         if (p.toHost) {
             protoStat("placement.host_steered", home);
-            startHostSteeredCall(x, r.faultVa, p.canonical, p.va, home);
+            startHostTwinCall(x, r.faultVa, p.canonical, p.va, home, true);
             return;
         }
         if (p.device != home)
             protoStat("placement.rebalanced", p.device);
-        // Speculative dual execution (DESIGN.md §16): when the policy's
-        // host-vs-device margin is thin, arm a race — the descriptor
-        // still goes out, but instead of yielding the core the thread's
-        // host twin runs speculatively. Leaf top-level calls only: a
-        // nested or saved-context call has device state the host twin
-        // cannot reproduce.
-        if (_spec && x.frames.empty() && task.nxpSavedCtx.empty() &&
-            _spec->shouldSpeculate(p.confidencePct)) {
-            VAddr twin = fallbackVa(task.cr3, p.canonical);
-            if (twin) {
-                x.specArmed = true;
-                x.specTwinVa = twin;
-            }
-        }
         startHostToNxpCall(x, p.va, p.device, p.canonical);
         return;
       }
@@ -1190,7 +1134,6 @@ MigrationEngine::decidePlacement(Task &task, VAddr target, unsigned home,
 
     EnginePlacementView view(*this);
     PlacementDecision d = _policy->place(q, c, view);
-    p.confidencePct = d.confidencePct;
 
     // Clamp: a decision for text that does not exist (or a quarantined
     // answer the policy should not have given) degrades to home.
@@ -1208,31 +1151,24 @@ MigrationEngine::decidePlacement(Task &task, VAddr target, unsigned home,
 }
 
 void
-MigrationEngine::startHostSteeredCall(TaskExec &x, VAddr faulted,
-                                      VAddr canonical, VAddr twin,
-                                      unsigned home)
+MigrationEngine::startHostTwinCall(TaskExec &x, VAddr faulted,
+                                   VAddr canonical, VAddr twin,
+                                   unsigned device, bool steered)
 {
-    Task &task = *x.task;
-    int pid = task.pid;
+    int pid = x.task->pid;
     std::uint64_t id = x.id;
-    // Same shape (and timing) as a quarantine failover at the fault
-    // boundary: the NX fault already fired, so its service cost and the
-    // handler prologue are paid; then the handler re-points the call at
-    // the host twin instead of packaging a descriptor. The hijacked
-    // return address is in place, so the call completes exactly like a
-    // migration would have — just without ever leaving the host.
     CallFrame f{hostSide, hostSide, _events.now()};
     f.target = faulted;
     f.canonical = canonical;
-    f.steered = true;
+    f.steered = steered;
     f.nargs = MigrationDescriptor::maxArgs;
     for (unsigned i = 0; i < MigrationDescriptor::maxArgs; ++i)
         f.args[i] = _hostCore.arg(i);
     x.frames.push_back(f);
-    tracePoint(TracePoint::hostNxFault, pid, id, home, faulted);
+    tracePoint(TracePoint::hostNxFault, pid, id, device, faulted);
     after(_timing.nxFaultService + _timing.faultTrapExit +
               hostCycles(_timing.hostHandlerCycles),
-          [this, pid, id, twin] {
+          [this, pid, id, twin, steered] {
         TaskExec *w = live(pid, id);
         if (!w) {
             releaseHost();
@@ -1242,7 +1178,9 @@ MigrationEngine::startHostSteeredCall(TaskExec &x, VAddr faulted,
         std::vector<std::uint64_t> args(top.args.begin(),
                                         top.args.begin() + top.nargs);
         _hostCore.setupCall(twin, args);
-        tracePoint(TracePoint::hostSteered, pid, id, 0, twin);
+        tracePoint(steered ? TracePoint::hostSteered
+                           : TracePoint::hostFallback,
+                   pid, id, 0, twin);
         runHostSegment(*w);
     });
 }
@@ -1267,211 +1205,6 @@ MigrationEngine::recordPlacementOutcome(Task &task, const CallFrame &frame)
     }
 }
 
-// --- Speculative dual execution (DESIGN.md §16) --------------------------
-
-void
-MigrationEngine::setSpeculation(SpeculationManager *spec)
-{
-    _spec = spec;
-    if (_spec)
-        _spec->setConflictCallback([this] { specConflictAbort(); });
-}
-
-void
-MigrationEngine::launchSpeculation(TaskExec &x, unsigned device)
-{
-    Task &task = *x.task;
-    int pid = task.pid;
-    x.specArmed = false;
-    VAddr twin = x.specTwinVa;
-    x.specTwinVa = 0;
-    if (_spec->active()) {
-        // Another call won the race to the launch point first (cannot
-        // happen with one host core, but stay safe if that changes).
-        releaseHost();
-        return;
-    }
-    CallFrame &top = x.frames.back();
-
-    std::uint64_t seq = _spec->begin(pid, x.id, device, _events.now());
-    protoStat("spec.launched", device);
-    tracePoint(TracePoint::specLaunch, pid, x.id, device, twin);
-
-    // The thread is suspended and its context saved; the otherwise-idle
-    // host core runs the twin. Everything below happens functionally at
-    // this instant — the charged time elapses in the continuation.
-    if (_hostLoadedCr3 != task.cr3) {
-        _hostCore.mmu().setCr3(task.cr3);
-        _hostLoadedCr3 = task.cr3;
-    }
-    // A native-bridge call performs simulator-side effects that cannot
-    // be buffered; the stub dooms the speculation and ends the slice.
-    Core::NativeHook native = _hostCore.swapNativeHook([this](Core &c) {
-        _spec->markDoomed("native-bridge call");
-        c.setPc(runtimeTrampoline);
-        return Tick(0);
-    });
-    _spec->beginSlice();
-    // setupCall inside the slice: its return-address push is a
-    // speculative store like any other.
-    std::vector<std::uint64_t> args(top.args.begin(),
-                                    top.args.begin() + top.nargs);
-    _hostCore.setupCall(twin, args);
-    RunResult r = _hostCore.run(_spec->config().maxInstructions);
-    _spec->endSlice();
-    _hostCore.swapNativeHook(std::move(native));
-
-    bool committable = r.stop == Fault::trampoline && !_spec->doomed();
-    if (!committable && !_spec->doomed()) {
-        if (r.stop == Fault::none)
-            _spec->markDoomed("instruction budget");
-        else
-            _spec->markDoomed("twin fault");
-    }
-    _specRun.seq = seq;
-    _specRun.retVal = committable ? _hostCore.retVal() : 0;
-    _specRun.elapsed = r.elapsed;
-    _specRun.committable = committable;
-    after(r.elapsed, [this, pid, seq] { hostSpecFinished(pid, seq); });
-}
-
-void
-MigrationEngine::hostSpecFinished(int pid, std::uint64_t seq)
-{
-    if (!_spec->active() || _spec->seq() != seq) {
-        // The race was already resolved (NxP win, conflict, call
-        // death); whoever squashed it released the host core.
-        return;
-    }
-    unsigned device = _spec->device();
-    TaskExec *xp = live(pid, _spec->callId());
-    if (!xp || !_specRun.committable || _spec->doomed()) {
-        // Doomed slice (fault, cap, native call) or the call died under
-        // the race: wasted work, the NxP side carries on alone.
-        tracePoint(TracePoint::specSquash, pid, _spec->callId(), device);
-        retireSpec(true);
-        return;
-    }
-    commitHostSpec(*xp);
-}
-
-void
-MigrationEngine::commitHostSpec(TaskExec &x)
-{
-    Task &task = *x.task;
-    int pid = task.pid;
-    unsigned device = _spec->device();
-    std::uint64_t rv = _specRun.retVal;
-
-    // Cut the losing NxP side before anything becomes guest-visible:
-    // bumping the generation token makes every in-flight continuation
-    // and descriptor of the old id stale — they release their cores and
-    // ring slots exactly like a failed call's stragglers. The loser's
-    // stores only land at slice starts, which check live(), so nothing
-    // of it can trickle in past this point.
-    std::uint64_t old_id = x.id;
-    x.id = ++_nextExecId;
-
-    // The straggler d2h return of old_id still carries a genuine
-    // device-side latency sample; remember how to credit it.
-    CallFrame done = x.frames.back();
-    x.frames.pop_back();
-    if (_policy && _policy->wantsFeedback() && done.canonical) {
-        if (_specHarvest.size() >= 64)
-            _specHarvest.erase(_specHarvest.begin());
-        _specHarvest[{pid, old_id}] =
-            {task.cr3, done.canonical, device, done.t0};
-        // The race measured the host side end to end for free.
-        _policy->recordHostCall(task.cr3, done.canonical,
-                                _events.now() - done.t0);
-        _stats.inc("placement.model_updates");
-    }
-
-    std::uint64_t replayed = _spec->commit();
-    protoStat("spec.committed_host", device);
-    _stats.inc("spec.replayed_bytes", replayed);
-    tracePoint(TracePoint::specCommit, pid, x.id, device, rv);
-
-    // Wake the thread exactly like a migration return would, but the
-    // host core is already ours: resume directly, bypassing the run
-    // queue (same latencies as dispatchWake).
-    _kernel.wake(task);
-    tracePoint(TracePoint::hostWake, pid, x.id, device);
-    std::uint64_t id = x.id;
-    after(_timing.wakeupToRun, [this, pid, id, rv] {
-        TaskExec *w = live(pid, id);
-        if (!w) {
-            releaseHost();
-            return;
-        }
-        Task &t = *w->task;
-        if (_hostLoadedCr3 != t.cr3) {
-            _hostCore.mmu().setCr3(t.cr3);
-            _hostLoadedCr3 = t.cr3;
-        }
-        _hostCore.restoreContext(_kernel.resume(t));
-        after(_timing.ioctlExit, [this, pid, id, rv] {
-            TaskExec *v = live(pid, id);
-            if (!v) {
-                releaseHost();
-                return;
-            }
-            tracePoint(TracePoint::hostResume, pid, id);
-            _hostCore.finishHijackedCall(rv);
-            runHostSegment(*v);
-        });
-    });
-}
-
-void
-MigrationEngine::retireSpec(bool aborted)
-{
-    unsigned device = _spec->device();
-    Tick waste = _events.now() - _spec->launchTick();
-    protoStat("spec.squashed", device);
-    if (aborted)
-        protoStat("spec.aborted", device);
-    _stats.inc("spec.wasted_ticks", waste);
-    _stats.inc(strfmt("spec.wasted_ticks_dev%u", device), waste);
-    _spec->squash();
-    releaseHost();
-}
-
-void
-MigrationEngine::specConflictAbort()
-{
-    // Fired from inside someone else's memory access: only flip state
-    // and counters here; the freed core is re-dispatched through
-    // kickHost's deferred event.
-    if (!_spec || !_spec->active())
-        return;
-    unsigned device = _spec->device();
-    protoStat("spec.conflicts", device);
-    tracePoint(TracePoint::specConflict, _spec->pid(), _spec->callId(),
-               device);
-    retireSpec(true);
-}
-
-void
-MigrationEngine::harvestSpecSample(int pid, std::uint64_t call_id)
-{
-    auto it = _specHarvest.find({pid, call_id});
-    if (it == _specHarvest.end())
-        return;
-    const SpecHarvest &h = it->second;
-    if (_policy && _policy->wantsFeedback()) {
-        // Slightly early versus the real wake path (the thread is gone,
-        // so there is no wakeupToRun/ioctlExit tail to wait out), but a
-        // genuine device-side round-trip sample — the second half of
-        // the race's free double-sample.
-        _policy->recordDeviceCall(h.cr3, h.canonical, h.device,
-                                  _events.now() - h.t0);
-        protoStat("placement.model_updates", h.device);
-        protoStat("spec.double_samples", h.device);
-    }
-    _specHarvest.erase(it);
-}
-
 void
 MigrationEngine::startHostToNxpCall(TaskExec &x, VAddr target,
                                     unsigned device, VAddr canonical)
@@ -1488,9 +1221,6 @@ MigrationEngine::startHostToNxpCall(TaskExec &x, VAddr target,
         // twin — the hijacked return address is already in place, so
         // the call completes exactly like a migration would have.
         protoStat("rejected_submissions", device);
-        // The rejection kills any armed race: the call never crosses.
-        x.specArmed = false;
-        x.specTwinVa = 0;
         VAddr twin = _hostFallback ? fallbackVa(task.cr3, canonical) : 0;
         if (!twin) {
             failCall(x, CallStatus::deviceLost);
@@ -1498,34 +1228,11 @@ MigrationEngine::startHostToNxpCall(TaskExec &x, VAddr target,
             return;
         }
         protoStat("failovers", device);
-        CallFrame f{hostSide, hostSide, _events.now()};
-        f.target = target;
-        f.canonical = canonical;
-        f.nargs = MigrationDescriptor::maxArgs;
-        for (unsigned i = 0; i < MigrationDescriptor::maxArgs; ++i)
-            f.args[i] = _hostCore.arg(i);
-        x.frames.push_back(f);
-        tracePoint(TracePoint::hostNxFault, pid, id, device, target);
-        after(_timing.nxFaultService + _timing.faultTrapExit +
-                  hostCycles(_timing.hostHandlerCycles),
-              [this, pid, id, twin] {
-            TaskExec *w = live(pid, id);
-            if (!w) {
-                releaseHost();
-                return;
-            }
-            CallFrame &top = w->frames.back();
-            std::vector<std::uint64_t> args(top.args.begin(),
-                                            top.args.begin() + top.nargs);
-            _hostCore.setupCall(twin, args);
-            tracePoint(TracePoint::hostFallback, pid, id, 0, twin);
-            runHostSegment(*w);
-        });
+        startHostTwinCall(x, target, canonical, twin, device, false);
         return;
     }
 
-    _stats.inc("host_to_nxp_calls");
-    _stats.inc(strfmt("host_to_nxp_calls_dev%u", device));
+    protoStat("host_to_nxp_calls", device);
     {
         CallFrame f{device, hostSide, _events.now()};
         f.canonical = canonical;
@@ -1653,13 +1360,7 @@ MigrationEngine::hostSendDescriptor(TaskExec &x, MigrationDescriptor d,
                     s.h2dDeferred.push_back(d);
                 else
                     fireHostToNxp(d, device);
-                // An armed race consumes the just-freed host core for
-                // the speculative twin instead of giving it back
-                // (DESIGN.md §16).
-                if (w->specArmed && d.kind == DescriptorKind::hostToNxpCall)
-                    launchSpeculation(*w, device);
-                else
-                    releaseHost();
+                releaseHost();
             };
             if (is_call && _extraRoundTrip)
                 after(_extraRoundTrip, std::move(fire));
@@ -1881,42 +1582,19 @@ MigrationEngine::runNxpSegment(TaskExec &x, unsigned device)
     int pid = x.task->pid;
     std::uint64_t id = x.id;
     NxpSide &s = side(device);
-    if (_chaos && _chaos->shouldWedgeNxpCore()) {
-        // The core wedges a few instructions into the segment (a hung
-        // accelerator pipeline): the architectural state stops
-        // advancing and no stop event is ever scheduled. The core
-        // stays busy forever; recovery is the health watchdog's job.
-        bool spec_window = _spec && _spec->matches(pid, id) &&
-                           _spec->device() == device;
-        if (spec_window)
-            _spec->beginDeviceWindow(device);
-        RunResult r = s.core->run(_chaos->wedgeProgress());
-        if (spec_window)
-            _spec->endDeviceWindow();
-        if (r.stop == Fault::none) {
-            s.segmentEnd = _events.now();
-            _stats.inc("chaos_core_wedges");
-            return;
-        }
-        // The segment was shorter than the wedge budget; it completed
-        // architecturally before the hang could bite.
-        s.segmentEnd = _events.now() + r.elapsed;
-        after(r.elapsed,
-              [this, pid, id, device, r] {
-                  handleNxpStop(pid, id, device, r);
-              });
+    // A chaos-wedged core hangs a few instructions into the segment (a
+    // hung accelerator pipeline): the architectural state stops
+    // advancing and no stop event is ever scheduled. The core stays
+    // busy forever; recovery is the health watchdog's job. A segment
+    // shorter than the wedge budget completes before the hang can bite.
+    bool wedge = _chaos && _chaos->shouldWedgeNxpCore();
+    RunResult r = wedge ? s.core->run(_chaos->wedgeProgress())
+                        : s.core->run();
+    if (wedge && r.stop == Fault::none) {
+        s.segmentEnd = _events.now();
+        _stats.inc("chaos_core_wedges");
         return;
     }
-    // The racing twin of an active speculation is exempt from conflict
-    // detection for exactly this slice: its stores are byte-identical
-    // to the buffered host stores that would replay over them.
-    bool spec_window = _spec && _spec->matches(pid, id) &&
-                       _spec->device() == device;
-    if (spec_window)
-        _spec->beginDeviceWindow(device);
-    RunResult r = s.core->run();
-    if (spec_window)
-        _spec->endDeviceWindow();
     // While the segment's time is being charged the busy core is
     // computing, not stalled; tell the watchdog when that excuse ends.
     s.segmentEnd = _events.now() + r.elapsed;
@@ -1933,13 +1611,8 @@ MigrationEngine::handleNxpStop(int pid, std::uint64_t id, unsigned device,
     ++side(device).progress; // a retired segment is forward progress
     TaskExec *xp = live(pid, id);
     if (!xp) {
-        // Usually a host-committed race cut this side before the
-        // function finished charging its time. The device-side cost is
-        // known regardless (the segment just retired): harvest it as
-        // the model's device sample, short only of the return leg the
-        // cut saved.
-        if (r.stop == Fault::trampoline)
-            harvestSpecSample(pid, id);
+        // The call was failed/cancelled while the segment's time was
+        // being charged; the segment's owner releases the core.
         releaseNxp(device);
         return;
     }
@@ -1998,28 +1671,14 @@ MigrationEngine::startNxpFaultMigration(TaskExec &x, VAddr target,
         Task &task = *w.task;
         Core &core = *side(device).core;
 
-        Addr table = task.cr3;
-        std::uint64_t entry = 0;
-        bool present = false;
-        for (int level = 3; level >= 0; --level) {
-            std::uint64_t raw = 0;
-            _mem.readInt(Requester::debug,
-                         table + 8ull * tableIndex(target, level), 8, raw);
-            if (!(raw & pte::present))
-                break;
-            if (level == 0 || (raw & pte::pageSize)) {
-                entry = raw;
-                present = true;
-                break;
-            }
-            table = pte::entryAddr(raw);
-        }
-        if (!present) {
+        std::optional<DebugTranslation> leaf =
+            _ptm.translate(task.cr3, target);
+        if (!leaf) {
             fatal("guest on NxP %u jumped to unmapped address %#llx",
                   device, (unsigned long long)target);
         }
 
-        unsigned tag = pte::isaTag(entry);
+        unsigned tag = pte::isaTag(leaf->entry);
         unsigned dest = hostSide;
         if (tag != 0) {
             unsigned to = tag - nxpIsaTag;
@@ -2200,12 +1859,7 @@ MigrationEngine::processHostInbox(unsigned device)
         TaskExec *x = live(pid, d.callId);
         if (!x) {
             // The call this return belongs to is gone (failed,
-            // cancelled, already failed over — or its host twin won a
-            // speculative race and the id moved on). A host-committed
-            // race's straggler return still carries a usable device-
-            // side latency sample; credit it before dropping the wake.
-            if (d.kind == DescriptorKind::nxpToHostReturn)
-                harvestSpecSample(pid, d.callId);
+            // cancelled, already failed over).
             protoStat("stale_descriptors", device);
             return;
         }
@@ -2215,34 +1869,6 @@ MigrationEngine::processHostInbox(unsigned device)
             // not wake it a second time.
             protoStat("stale_descriptors", device);
             return;
-        }
-        if (_spec && _spec->matches(pid, d.callId)) {
-            if (d.kind == DescriptorKind::nxpToHostReturn) {
-                // The NxP side finished first: it wins the race. The
-                // host twin's cost is still functionally known — feed
-                // it as the host-side sample (the other half of the
-                // free double-sample), then squash the speculation and
-                // let the wake proceed on the freed core.
-                protoStat("spec.committed_nxp", device);
-                tracePoint(TracePoint::specSquash, pid, d.callId, device);
-                if (_specRun.committable && _policy &&
-                    _policy->wantsFeedback() && !x->frames.empty() &&
-                    x->frames.back().canonical) {
-                    _policy->recordHostCall(
-                        x->task->cr3, x->frames.back().canonical,
-                        _spec->launchTick() + _specRun.elapsed -
-                            x->frames.back().t0);
-                    _stats.inc("placement.model_updates");
-                }
-                retireSpec(false);
-            } else {
-                // The racing twin made a nested cross-ISA call: the
-                // race is no longer a simple leaf race (the host twin
-                // cannot mirror device-side nesting). Abort it; the
-                // nested call then proceeds normally.
-                tracePoint(TracePoint::specSquash, pid, d.callId, device);
-                retireSpec(true);
-            }
         }
         _kernel.wake(*x->task);
         tracePoint(TracePoint::hostWake, pid, d.callId, device);
@@ -2499,14 +2125,6 @@ MigrationEngine::failCall(TaskExec &x, CallStatus status)
 {
     if (x.future->done)
         return;
-    if (_spec && _spec->matches(x.task->pid, x.id)) {
-        // The raced call is dying (cancel, deadline, device loss): the
-        // speculation dies with it and must give the host core back
-        // before any failover tries to claim it.
-        tracePoint(TracePoint::specSquash, x.task->pid, x.id,
-                   _spec->device());
-        retireSpec(true);
-    }
     unsigned dev = execDevice(x);
     if (status == CallStatus::deviceLost && canFailover(x)) {
         scheduleFallback(x);

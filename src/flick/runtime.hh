@@ -65,8 +65,8 @@ namespace flick
 {
 
 class ChaosController;
+class PageTableManager;
 class PlacementPolicy;
-class SpeculationManager;
 struct EnginePlacementView;
 
 /**
@@ -94,9 +94,14 @@ const char *deviceHealthName(DeviceHealth health);
 class MigrationEngine
 {
   public:
+    /**
+     * @param ptm The kernel's page tables: the engine reads PTEs (the
+     *        NX-fault ISA tag, page residency) through its untimed
+     *        translate(). Not owned.
+     */
     MigrationEngine(EventQueue &events, MemSystem &mem,
-                    const TimingConfig &timing, Kernel &kernel,
-                    IrqController &irq, Core &host_core);
+                    const PageTableManager &ptm, const TimingConfig &timing,
+                    Kernel &kernel, IrqController &irq, Core &host_core);
 
     /**
      * Register one NxP device (in device-id order, starting at 0).
@@ -315,16 +320,6 @@ class MigrationEngine
     }
 
     /**
-     * Attach the speculation manager (DESIGN.md §16). Low-confidence
-     * host-originated calls then race their host twin against the
-     * migration and commit whichever side finishes first. Registers the
-     * engine's conflict callback on @p spec. nullptr (the default)
-     * keeps every spec path unreachable: no flick.spec.* counters, no
-     * extra events, tick-for-tick identical runs. Not owned.
-     */
-    void setSpeculation(SpeculationManager *spec);
-
-    /**
      * Register @p twin_va as @p canonical's text for @p device (the
      * "__dev<k>" twins load() discovers, plus the home symbol itself).
      * A placement policy may re-point a faulted call at any registered
@@ -419,11 +414,6 @@ class MigrationEngine
         //! One-shot device preference (SubmitOptions::placementHint),
         //! consumed by the call's first placement decision; -1 = none.
         int placementHint = -1;
-        //! Low-confidence placement armed a speculative host-twin race;
-        //! consumed (and cleared) when the call descriptor fires.
-        bool specArmed = false;
-        //! Host twin VA the armed speculation will run.
-        VAddr specTwinVa = 0;
         //! The call passed the QoS front door (its retirement must give
         //! the tenant's in-flight budget back and pump the queues).
         bool qosAdmitted = false;
@@ -598,9 +588,6 @@ class MigrationEngine
         unsigned device = 0; //!< Dispatch device when !toHost.
         VAddr va = 0;        //!< VA to dispatch (twin or original).
         VAddr canonical = 0; //!< Home-symbol VA (the model's key).
-        //! Policy's confidence margin (PlacementDecision::confidencePct);
-        //! below SpecConfig::confidenceThresholdPct arms a speculation.
-        unsigned confidencePct = 100;
     };
 
     /**
@@ -614,48 +601,20 @@ class MigrationEngine
                            unsigned caller_device);
 
     /**
-     * Policy steered a host-originated faulted call to its host twin:
-     * charge the fault service like a quarantine failover would and run
-     * @p twin on the host core (no descriptor, no DMA, no device).
+     * Run @p twin on the host core in place of the host-originated
+     * faulted call to @p faulted (tagged for @p device): record a host
+     * frame from the live argument registers, charge the NX fault
+     * service and handler prologue, then enter the twin — no
+     * descriptor, no DMA, no device. The hijacked return address is in
+     * place, so the call completes exactly like a migration would have.
+     * @p steered is the placement policy's choice (opens hostSteered);
+     * otherwise @p device was quarantined at the fault (hostFallback).
      */
-    void startHostSteeredCall(TaskExec &x, VAddr faulted, VAddr canonical,
-                              VAddr twin, unsigned home);
+    void startHostTwinCall(TaskExec &x, VAddr faulted, VAddr canonical,
+                           VAddr twin, unsigned device, bool steered);
 
     /** Feed a completed call's latency to the policy's cost model. */
     void recordPlacementOutcome(Task &task, const CallFrame &frame);
-
-    // --- Speculative dual execution (DESIGN.md §16) --------------------
-
-    /**
-     * The descriptor for @p x's armed low-confidence call just fired at
-     * @p device: keep the host core (instead of releasing it) and run
-     * the host twin speculatively, stores buffered by the manager.
-     * Schedules hostSpecFinished at the slice's charged end time.
-     */
-    void launchSpeculation(TaskExec &x, unsigned device);
-
-    /** The speculative host slice's charged time elapsed. A stale
-     *  @p seq means the race was already resolved the other way. */
-    void hostSpecFinished(int pid, std::uint64_t seq);
-
-    /** Host twin won: cut the NxP side, replay the buffer, wake. */
-    void commitHostSpec(TaskExec &x);
-
-    /**
-     * Common tail of every squash path: account the wasted host-core
-     * ticks, discard the buffer and give the host core back. @p aborted
-     * distinguishes a clean race loss from a conflict/doom/death abort.
-     */
-    void retireSpec(bool aborted);
-
-    /** Conflict callback target (fires from inside a memory access). */
-    void specConflictAbort();
-
-    /**
-     * A straggler d2h return of a host-committed race landed: its
-     * latency is a genuine device-side sample (the free double-sample).
-     */
-    void harvestSpecSample(int pid, std::uint64_t call_id);
 
     /** The entry function returned (or the program exited). */
     void completeCall(TaskExec &x, std::uint64_t value);
@@ -852,6 +811,7 @@ class MigrationEngine
 
     EventQueue &_events;
     MemSystem &_mem;
+    const PageTableManager &_ptm;
     const TimingConfig &_timing;
     Kernel &_kernel;
     IrqController &_irq;
@@ -880,28 +840,6 @@ class MigrationEngine
     std::map<std::pair<Addr, VAddr>, VAddr> _fallback;
     //! Placement policy; nullptr = the paper's link-time pinning.
     PlacementPolicy *_policy = nullptr;
-    //! Speculative dual execution; nullptr = feature off (DESIGN.md §16).
-    SpeculationManager *_spec = nullptr;
-    //! Outcome of the current speculative host slice, consumed by
-    //! hostSpecFinished (guarded by the manager's seq against staleness).
-    struct SpecRun
-    {
-        std::uint64_t seq = 0;
-        std::uint64_t retVal = 0;
-        Tick elapsed = 0;
-        bool committable = false;
-    };
-    SpecRun _specRun;
-    //! How to credit the straggler d2h return of a host-committed race
-    //! to the cost model, keyed by (pid, pre-commit call id).
-    struct SpecHarvest
-    {
-        Addr cr3 = 0;
-        VAddr canonical = 0;
-        unsigned device = 0;
-        Tick t0 = 0;
-    };
-    std::map<std::pair<int, std::uint64_t>, SpecHarvest> _specHarvest;
     //! Residency counters for the policy view; nullptr = tracking off.
     ResidencyTracker *_residency = nullptr;
     //! (cr3, canonical va) -> per-device dispatch VA (0 = no copy).

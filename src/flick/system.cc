@@ -96,7 +96,7 @@ FlickSystem::FlickSystem(SystemConfig config)
         _tracer.enable();
     _kernel.setTracer(&_tracer, &_events);
 
-    _engine = std::make_unique<MigrationEngine>(_events, _mem,
+    _engine = std::make_unique<MigrationEngine>(_events, _mem, _ptm,
                                                 _config.timing, _kernel,
                                                 _irq, _hostCore);
     _engine->setChaos(&_chaos);
@@ -187,16 +187,6 @@ FlickSystem::FlickSystem(SystemConfig config)
         // detector while a page copy is in flight (DESIGN.md §13/§15).
         _mem.addDecodeSink(_migrator.get());
         _migrator->start();
-    }
-
-    // Speculative dual execution (DESIGN.md §16). Gated on construction
-    // like the residency layer: with it off no manager exists, the
-    // MemSystem hook pointer stays null and the engine's spec paths are
-    // unreachable — tick-for-tick identity with a pre-speculation build.
-    if (_config.speculation.enabled) {
-        _speculation = std::make_unique<SpeculationManager>(
-            _mem, _config.speculation);
-        _engine->setSpeculation(_speculation.get());
     }
 }
 

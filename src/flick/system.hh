@@ -52,7 +52,6 @@
 #include "sim/chaos.hh"
 #include "sim/event_queue.hh"
 #include "sim/timing_config.hh"
-#include "spec/speculation.hh"
 #include "vm/page_table.hh"
 #include "vm/phys_allocator.hh"
 
@@ -158,16 +157,6 @@ struct SystemConfig
      * legitimately perturbs the event stream.
      */
     MigrationConfig migration;
-    /**
-     * Speculative dual execution (DESIGN.md §16): low-confidence
-     * placement decisions race the call's host twin against the
-     * migration and commit whichever side finishes first. Off by
-     * default: with speculation.enabled false no SpeculationManager is
-     * constructed, zero flick.spec.* counters are emitted and every run
-     * is tick-for-tick identical to a pre-speculation build
-     * (tests/spec_test.cpp asserts all three).
-     */
-    SpecConfig speculation;
 
     /** Number of NxP devices in the platform (any N >= 1). */
     SystemConfig &
@@ -251,23 +240,6 @@ struct SystemConfig
         migration = cfg;
         migration.enabled = true;
         residencyTracking = true;
-        return *this;
-    }
-
-    /** Enable speculative dual execution with default tunables. */
-    SystemConfig &
-    withSpeculation(bool on = true)
-    {
-        speculation.enabled = on;
-        return *this;
-    }
-
-    /** Enable speculative dual execution with explicit tunables. */
-    SystemConfig &
-    withSpeculation(const SpecConfig &cfg)
-    {
-        speculation = cfg;
-        speculation.enabled = true;
         return *this;
     }
 
@@ -648,12 +620,6 @@ class FlickSystem
         {
             return sys->_migrator.get();
         }
-        /** The speculation manager; nullptr unless speculation.enabled. */
-        SpeculationManager *
-        speculation() const
-        {
-            return sys->_speculation.get();
-        }
         unsigned
         nxpDeviceCount() const
         {
@@ -714,7 +680,6 @@ class FlickSystem
     std::shared_ptr<PlacementPolicy> _placement;
     std::unique_ptr<ResidencyTracker> _residencyTracker;
     std::unique_ptr<PageMigrator> _migrator;
-    std::unique_ptr<SpeculationManager> _speculation;
     std::vector<std::unique_ptr<Process>> _processes;
 };
 

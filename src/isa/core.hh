@@ -155,20 +155,6 @@ class Core
         _nativeHook = std::move(hook);
     }
 
-    /**
-     * Swap the native-gate handler, keeping the PC range, and return the
-     * previous one. A speculative slice (DESIGN.md §16) installs a stub
-     * that dooms the speculation instead of letting a native-bridge call
-     * perform unbuffered side effects, then restores the original.
-     */
-    NativeHook
-    swapNativeHook(NativeHook hook)
-    {
-        NativeHook old = std::move(_nativeHook);
-        _nativeHook = std::move(hook);
-        return old;
-    }
-
     /** Callback invoked with the PC before each instruction executes. */
     using TraceHook = std::function<void(VAddr pc)>;
 

@@ -268,14 +268,9 @@ MemSystem::read(Requester r, Addr pa, void *buf, std::uint64_t len)
     switch (route.kind) {
       case Route::Kind::hostDram:
         _hostDram.read(route.offset, buf, len);
-        if (_specHook && r != Requester::debug)
-            _specHook->observeRead(r, 0, route.offset, buf, len);
         break;
       case Route::Kind::nxpDram:
         nxpDram(route.device).read(route.offset, buf, len);
-        if (_specHook && r != Requester::debug)
-            _specHook->observeRead(r, 1 + route.device, route.offset, buf,
-                                   len);
         break;
       case Route::Kind::ctrlDev: {
         MmioDevice *dev = _ctrl[route.device];
@@ -305,16 +300,9 @@ MemSystem::write(Requester r, Addr pa, const void *buf, std::uint64_t len)
         touchResidency(r, route);
     switch (route.kind) {
       case Route::Kind::hostDram:
-        if (_specHook && r != Requester::debug &&
-            _specHook->filterWrite(r, 0, route.offset, buf, len))
-            return route.latency;
         _hostDram.write(route.offset, buf, len);
         break;
       case Route::Kind::nxpDram:
-        if (_specHook && r != Requester::debug &&
-            _specHook->filterWrite(r, 1 + route.device, route.offset, buf,
-                                   len))
-            return route.latency;
         nxpDram(route.device).write(route.offset, buf, len);
         break;
       case Route::Kind::ctrlDev: {

@@ -111,40 +111,6 @@ class DecodeSink
 };
 
 /**
- * Interposer on the DRAM routes, implemented by the speculative dual-
- * execution manager (DESIGN.md §16). While attached, every timed DRAM
- * access (control windows and the debug back door excluded) is offered
- * to the hook after routing: a speculative host-core store is consumed
- * into the write buffer instead of reaching the backing store, a
- * speculative load is overlaid with buffered bytes, and every other
- * requester's access is checked against the speculation's read/write
- * sets for conflicts. The hook is purely functional — it never changes
- * the latency returned for the access — so an engine that never attaches
- * one stays tick-for-tick identical.
- */
-class SpecMemHook
-{
-  public:
-    virtual ~SpecMemHook() = default;
-
-    /**
-     * A timed write resolved to backing store @p store (0 = host DRAM,
-     * 1 + k = NxP device k's DRAM) at @p offset. Return true to consume
-     * it (the caller must then skip the backing-store write).
-     */
-    virtual bool filterWrite(Requester r, unsigned store, Addr offset,
-                             const void *buf, std::uint64_t len) = 0;
-
-    /**
-     * A timed read of backing store @p store completed; @p buf holds the
-     * committed bytes and may be overlaid with speculatively buffered
-     * ones.
-     */
-    virtual void observeRead(Requester r, unsigned store, Addr offset,
-                             void *buf, std::uint64_t len) = 0;
-};
-
-/**
  * The platform's physical memory fabric.
  */
 class MemSystem
@@ -236,15 +202,6 @@ class MemSystem
         _residency = tracker;
     }
 
-    // --- Speculative dual execution (DESIGN.md §16) ---------------------
-
-    /**
-     * Attach (or detach, with nullptr) the speculation hook. Only ever
-     * set when withSpeculation is enabled; a null hook keeps the access
-     * paths on their historical code, byte for byte.
-     */
-    void setSpecHook(SpecMemHook *hook) { _specHook = hook; }
-
   private:
     /** Fan a store write out to every sink, one call per touched page. */
     void notifyStoreWrite(unsigned store, Addr offset, std::uint64_t len);
@@ -271,7 +228,6 @@ class MemSystem
     std::vector<MmioDevice *> _ctrl;
     std::vector<DecodeSink *> _decodeSinks;
     ResidencyTracker *_residency = nullptr;
-    SpecMemHook *_specHook = nullptr;
     StatGroup _stats;
 };
 

@@ -139,15 +139,6 @@ struct PlacementDecision
 {
     bool toHost = false; //!< Run the host twin instead of crossing.
     unsigned device = 0; //!< Target device when !toHost.
-    /**
-     * How sure the policy is that the chosen side beats the other, as a
-     * percentage margin between the two cost estimates (0 = coin flip
-     * or no model, 100 = certain / no alternative). Speculative dual
-     * execution (DESIGN.md §16) races both sides when this falls below
-     * its threshold; policies without a cost model report 100 so they
-     * never trigger speculation.
-     */
-    unsigned confidencePct = 100;
 };
 
 /**

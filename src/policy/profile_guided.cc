@@ -26,15 +26,14 @@ ProfileGuidedPlacement::place(const PlacementQuery &query,
     if (query.fromDevice || !cands.hostVa)
         return {false, device};
 
-    // From here on both sides are genuine candidates, so an unmodeled
-    // function is a coin flip: report zero confidence and let the
-    // speculation layer race the sides if it is enabled.
+    // Until the device side has been sampled there is nothing to weigh
+    // the host twin against: cross.
     auto it = _model.find({query.cr3, query.canonical});
     if (it == _model.end())
-        return {false, device, 0};
+        return {false, device};
     FnProfile &m = it->second;
     if (m.deviceSamples < _cfg.minDeviceSamples)
-        return {false, device, 0};
+        return {false, device};
 
     Tick device_cost = m.deviceEwma;
     Tick host_cost;
@@ -54,28 +53,17 @@ ProfileGuidedPlacement::place(const PlacementQuery &query,
         host_cost = view.steerOverhead() + exec / speedup;
     }
 
-    // Confidence: the relative margin between the two cost estimates.
-    // A near-tie (either side could win) reports close to zero; a
-    // lopsided model reports close to 100.
-    Tick lo = host_cost < device_cost ? host_cost : device_cost;
-    Tick hi = host_cost < device_cost ? device_cost : host_cost;
-    Tick margin = (hi - lo) * 100 / (lo ? lo : 1);
-    auto confidence =
-        static_cast<unsigned>(margin > 100 ? 100 : margin);
-
     // Hysteresis: the host must win by the configured margin.
     if (host_cost + host_cost * _cfg.steerMarginPct / 100 >= device_cost)
-        return {false, device, confidence};
+        return {false, device};
 
     // Steered — but every reprobeInterval-th decision still crosses so
-    // the device-side EWMA stays fresh: a reprobe is deliberately
-    // resampling the unchosen side, i.e. the model wants fresh data —
-    // zero confidence invites speculation to hide the probe's cost.
+    // the device-side EWMA stays fresh.
     ++m.steeredDecisions;
     if (_cfg.reprobeInterval &&
         m.steeredDecisions % _cfg.reprobeInterval == 0)
-        return {false, device, 0};
-    return {true, device, confidence};
+        return {false, device};
+    return {true, device};
 }
 
 void

@@ -34,10 +34,6 @@ tracePointName(TracePoint p)
       case TracePoint::kernelSuspend: return "kernelSuspend";
       case TracePoint::kernelWake: return "kernelWake";
       case TracePoint::kernelResume: return "kernelResume";
-      case TracePoint::specLaunch: return "specLaunch";
-      case TracePoint::specCommit: return "specCommit";
-      case TracePoint::specSquash: return "specSquash";
-      case TracePoint::specConflict: return "specConflict";
       case TracePoint::nxpStackAlloc: return "nxpStackAlloc";
       case TracePoint::qosAdmit: return "qosAdmit";
       case TracePoint::qosQueue: return "qosQueue";
@@ -105,10 +101,6 @@ tracePointPhase(TracePoint p)
       case TracePoint::kernelSuspend:
       case TracePoint::kernelWake:
       case TracePoint::kernelResume:
-      case TracePoint::specLaunch:
-      case TracePoint::specCommit:
-      case TracePoint::specSquash:
-      case TracePoint::specConflict:
       case TracePoint::nxpStackAlloc:
       case TracePoint::qosAdmit:
       case TracePoint::qosQueue:
@@ -167,10 +159,6 @@ pointTrack(TracePoint p, unsigned device)
       case TracePoint::kernelSuspend:
       case TracePoint::kernelWake:
       case TracePoint::kernelResume:
-      case TracePoint::specLaunch:
-      case TracePoint::specCommit:
-      case TracePoint::specSquash:
-      case TracePoint::specConflict:
       case TracePoint::nxpStackAlloc:
       case TracePoint::qosAdmit:
       case TracePoint::qosQueue:

@@ -72,10 +72,6 @@ enum class TracePoint : std::uint8_t
     kernelSuspend,  ///< instant: kernel suspends a task for migration
     kernelWake,     ///< instant: kernel marks a suspended task runnable
     kernelResume,   ///< instant: kernel switches a woken task back in
-    specLaunch,     ///< instant: host twin launched speculatively (§16)
-    specCommit,     ///< instant: speculative host run committed (host won)
-    specSquash,     ///< instant: speculation squashed (NxP won / abort)
-    specConflict,   ///< instant: read/write conflict killed the speculation
     nxpStackAlloc,  ///< instant: first migration allocated an NxP stack
     qosAdmit,       ///< instant: front door admitted the call
     qosQueue,       ///< instant: call parked in its tenant's queue

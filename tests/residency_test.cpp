@@ -12,7 +12,8 @@
  *    (host core vs each NxP core); debug/DMA/walk traffic is excluded.
  *  - ResidencyAwarePlacement steers a call to the device holding its
  *    argument pages even before any access is counted (cold mapped
- *    pages vote by holder).
+ *    pages vote by holder); a non-canonical argument is no pointer and
+ *    casts no vote.
  *  - migrateNow() moves a 4K frame host<->device with contents intact,
  *    remapping the PTE and updating the translation; a write racing the
  *    copy dirties the source and forces a bounded recopy, never losing
@@ -38,6 +39,7 @@
 #include <vector>
 
 #include "flick/system.hh"
+#include "workloads/placement_mix.hh"
 #include "workloads/sharded.hh"
 
 using namespace flick;
@@ -208,6 +210,29 @@ TEST(Residency, ColdPagesSteerResidencyAwarePlacement)
     EXPECT_EQ(es.get("host_to_nxp_calls_dev1"), 1u);
     EXPECT_EQ(es.get("host_to_nxp_calls_dev0"), 0u);
     delete sys;
+}
+
+TEST(Residency, NonCanonicalArgumentCastsNoVote)
+{
+    // Bits 48..63 of a non-canonical value do not sign-extend bit 47, so
+    // it is not a pointer: the page walk must reject it instead of
+    // voting for the device-1 page its low 48 bits alias. With no vote
+    // cast, placement falls back to queue depth and the idle home wins.
+    FlickSystem sys(SystemConfig{}
+                        .withDevices(2)
+                        .withResidencyTracking()
+                        .withPlacement(PlacementKind::residencyAware));
+    Program prog;
+    workloads::addPlacementMix(prog, 2);
+    Process &proc = sys.load(prog);
+    VAddr buf = sys.migratableMalloc(proc, 4096, 1);
+    std::uint64_t alias = buf | 1ull << 62;
+
+    EXPECT_EQ(sys.call(proc, "mix_tiny", {alias, 0}), alias);
+
+    const StatGroup &es = sys.debug().engine().stats();
+    EXPECT_EQ(es.get("host_to_nxp_calls_dev0"), 1u);
+    EXPECT_EQ(es.get("host_to_nxp_calls_dev1"), 0u);
 }
 
 TEST(Residency, MigrateNowMovesFrameAndPreservesContents)
