@@ -35,32 +35,37 @@ echo "== docs drift guard: flick.* stat families in DESIGN.md =="
 # flick.* name DESIGN.md mentions must still be emitted, so neither a
 # new counter nor a deleted one can leave the docs stale.
 #
-# Keys are the string literals at the emission sites, including the
-# "? ..." / ": ..." continuation lines of a ternary key. A literal
-# followed by "+ std::to_string(...)" is a stem, documented as
-# flick.residency.<stem><k>. Keys bumped through protoStat/failStat also
-# have a per-device flick.<key>_dev<k> split, and tenantStat keys a
-# per-tenant flick.<key>_cr3#<k> split; the docs may name those forms.
+# Keys are the string literals at two kinds of site. Cold paths bump a
+# literal on _stats in runtime.cc, including the "? ..." / ": ..."
+# continuation lines of a ternary key; a literal followed by
+# "+ std::to_string(...)" is a stem, documented as
+# flick.residency.<stem><k>. Hot paths bump a handle registered once in
+# runtime.hh ("Counter _x{_stats, "key"};"); a DeviceStat registration
+# also has a per-device flick.<key>_dev<k> split and a TenantStat one a
+# per-tenant flick.<key>_cr3#<k> split, and the docs may name those forms.
 site_literals() {
     grep -hE "$1" "${@:2}" |
         grep -oE '"[a-z][a-z_0-9.]*"( \+ std::to_string)?' | tr -d '"'
 }
-engine_sites='_stats\.(inc|set|add)\(|(tenant|proto|fail)Stat\('
-engine_sites+='|^[[:space:]]*[?:] "'
+registered() {
+    site_literals "^[[:space:]]*($1) _[A-Za-z0-9]+\{_stats, \"" \
+        src/flick/runtime.hh
+}
+engine_sites='_stats\.(inc|set|add)\(|^[[:space:]]*[?:] "'
 emitted=$(
     {
-        site_literals "$engine_sites" src/flick/runtime.cc |
-            sed 's/^/flick./'
+        {
+            site_literals "$engine_sites" src/flick/runtime.cc
+            registered 'Counter|DeviceStat|TenantStat'
+        } | sed 's/^/flick./'
         site_literals '_stats\.(inc|set)\(' src/flick/migrator.cc \
             src/mem/residency.hh | sed 's/^/flick.residency./'
     } | sed 's/ + std::to_string$/<k>/' | sort -u
 )
 splits=$(
     {
-        site_literals '(proto|fail)Stat\(' src/flick/runtime.cc |
-            sed 's/^\(.*\)$/flick.\1_dev<k>/'
-        site_literals 'tenantStat\(' src/flick/runtime.cc |
-            sed 's/^\(.*\)$/flick.\1_cr3#<k>/'
+        registered DeviceStat | sed 's/^\(.*\)$/flick.\1_dev<k>/'
+        registered TenantStat | sed 's/^\(.*\)$/flick.\1_cr3#<k>/'
     } | sort -u
 )
 documented=$(grep -oE 'flick\.[a-z_0-9.#<>*]*' DESIGN.md | sed 's/\.*$//' |
@@ -84,7 +89,7 @@ for name in $documented; do
 done
 if [ "$missing" -ne 0 ]; then
     echo "docs drift: sync DESIGN.md §15's counter reference with the" \
-         "emission sites" >&2
+         "emission and registration sites" >&2
     exit 1
 fi
 echo "flick.* stat families and DESIGN.md agree"

@@ -96,7 +96,12 @@ struct MigrationDescriptor
     /** CRC-64 of @p wire's checksummed prefix. */
     static std::uint64_t wireChecksum(const Wire &wire);
 
-    /** Does @p wire's embedded checksum match its contents? */
+    /**
+     * May a receiver act on @p wire? True when its embedded checksum
+     * matches its contents and its kind and argument count are in range
+     * (kind <= nxpToHostReturn, nargs <= maxArgs). The all-zero image
+     * passes: it is intact but of kind invalid.
+     */
     static bool wireIntact(const Wire &wire);
 };
 

@@ -11,7 +11,7 @@ NxpPlatform::consumeInbox()
     if (_pending == 0)
         panic("inbox ACK with no pending descriptor");
     --_pending;
-    _stats.inc("inbox_acks");
+    _inboxAcks.inc();
 }
 
 std::uint64_t
@@ -20,7 +20,7 @@ NxpPlatform::mmioRead(Addr offset, unsigned len)
     (void)len;
     switch (offset) {
       case regStatus:
-        _stats.inc("status_reads");
+        _statusReads.inc();
         return _pending;
       default:
         panic("NxP control read at unknown offset %#llx",

@@ -86,7 +86,7 @@ class NxpPlatform : public MmioDevice
     inboxArrived()
     {
         ++_pending;
-        _stats.inc("inbox_arrivals");
+        _inboxArrivals.inc();
     }
 
     unsigned pendingInbox() const { return _pending; }
@@ -106,6 +106,10 @@ class NxpPlatform : public MmioDevice
     Mmu *_nxpMmu = nullptr;
     unsigned _pending = 0;
     StatGroup _stats;
+    // Bumped once per crossing, so resolved once (DESIGN.md §17).
+    StatGroup::Counter _inboxArrivals{_stats, "inbox_arrivals"};
+    StatGroup::Counter _inboxAcks{_stats, "inbox_acks"};
+    StatGroup::Counter _statusReads{_stats, "status_reads"};
 };
 
 } // namespace flick

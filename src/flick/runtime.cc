@@ -360,7 +360,7 @@ MigrationEngine::submit(Task &task, VAddr entry,
     unsigned tenant = 0;
     if (_qos.enabled) {
         tenant = registerTenant(task.cr3);
-        tenantStat("qos.submitted", tenant);
+        _qosSubmitted.inc(tenant);
     }
 
     Tick abs_deadline = 0;
@@ -406,12 +406,12 @@ MigrationEngine::submit(Task &task, VAddr entry,
         _qosQueues[tenant].push_back(std::move(p));
         _qosQueuedPid[task.pid] = tenant;
         _tenants.onEnqueue(tenant);
-        tenantStat("qos.queued", tenant);
+        _qosQueued.inc(tenant);
         tracePoint(TracePoint::qosQueue, task.pid, 0, 0, estimate);
         return CallFuture(std::move(state), this);
     }
 
-    tenantStat("qos.admitted", tenant);
+    _qosAdmitted.inc(tenant);
     tracePoint(TracePoint::qosAdmit, task.pid, 0, 0, estimate);
     return admitCall(task, entry, args, stack_top, abs_deadline,
                      opts.placementHint, nullptr);
@@ -434,12 +434,12 @@ void
 MigrationEngine::shedCall(CallFutureState &state, unsigned tenant,
                           ShedReason reason)
 {
-    tenantStat("qos.shed", tenant);
-    tenantStat(reason == ShedReason::queueFull ? "qos.shed.queue_full"
-               : reason == ShedReason::tenantOverBudget
-                   ? "qos.shed.tenant_over_budget"
-                   : "qos.shed.deadline_infeasible",
-               tenant);
+    _qosShed.inc(tenant);
+    TenantStat &why = reason == ShedReason::queueFull ? _qosShedQueueFull
+                      : reason == ShedReason::tenantOverBudget
+                          ? _qosShedOverBudget
+                          : _qosShedInfeasible;
+    why.inc(tenant);
     tracePoint(TracePoint::qosShed, state.pid, 0, 0,
                static_cast<std::uint64_t>(reason));
     state.value = 0;
@@ -476,7 +476,7 @@ MigrationEngine::admitCall(Task &task, VAddr entry,
     }
     bool deadlined = x.deadline != 0;
     _exec.emplace(task.pid, std::move(x));
-    _stats.inc("calls_submitted");
+    _callsSubmitted.inc();
     traceGauge(TraceGauge::inFlightCalls, 0, _exec.size());
     // The watchdog only exists when something can actually go wrong
     // (endpoint fault injection or a configured deadline); otherwise the
@@ -586,7 +586,7 @@ MigrationEngine::pumpQosQueues()
         if (pick < 0)
             break;
         if (_tenants.lastPickAged())
-            tenantStat("qos.aged_picks", static_cast<unsigned>(pick));
+            _qosAgedPicks.inc(static_cast<unsigned>(pick));
         auto tenant = static_cast<unsigned>(pick);
         QosPending p = std::move(_qosQueues[tenant].front());
         _qosQueues[tenant].pop_front();
@@ -601,7 +601,7 @@ MigrationEngine::pumpQosQueues()
             continue;
         }
         _tenants.charge(tenant);
-        tenantStat("qos.dequeued", tenant);
+        _qosDequeued.inc(tenant);
         tracePoint(TracePoint::qosDequeue, p.task->pid, 0, 0, estimate);
         // A submit-time placement hint can go stale while the call sits
         // in the queue (hot-page migration moved its data): re-vote the
@@ -610,8 +610,7 @@ MigrationEngine::pumpQosQueues()
         if (_residency && p.placementHint >= 0) {
             int holder = residencyMajorityDevice(*p.task, p.args);
             if (holder >= 0 && holder != p.placementHint) {
-                protoStat("qos.hint_revotes",
-                          static_cast<unsigned>(holder));
+                _qosHintRevotes.inc(static_cast<unsigned>(holder));
                 p.placementHint = holder;
             }
         }
@@ -634,7 +633,7 @@ MigrationEngine::cancelQueuedCall(int pid, unsigned tenant)
         _tenants.onDequeue(tenant);
         _stats.inc("calls_failed");
         _stats.inc("cancellations");
-        tenantStat("qos.cancelled_queued", tenant);
+        _qosCancelledQueued.inc(tenant);
         tracePoint(TracePoint::qosCancel, pid, 0, 0,
                    admissionEstimate(it->task->cr3, it->entry, tenant));
         queue.erase(it);
@@ -810,14 +809,14 @@ MigrationEngine::handleHostDescriptor(TaskExec &x, MigrationDescriptor d)
             // runs the host twin right here — the host core is already
             // ours and the calling device just waits for its return
             // descriptor as usual. Without it, the call chain dies.
-            protoStat("rejected_submissions", to);
+            _rejectedSubmissions.inc(to);
             VAddr twin = _hostFallback ? fallbackVa(task.cr3, d.target) : 0;
             if (!twin) {
                 failCall(x, CallStatus::deviceLost);
                 releaseHost();
                 return;
             }
-            protoStat("failovers", to);
+            _failovers.inc(to);
             top.callee = hostSide;
             _hostCore.setupCall(twin, d.argVector());
             tracePoint(TracePoint::hostFallback, pid, x.id, 0, twin);
@@ -851,8 +850,8 @@ MigrationEngine::handleHostDescriptor(TaskExec &x, MigrationDescriptor d)
             CallFrame done = top;
             x.frames.pop_back();
             ++task.migrations;
-            _stats.inc("host_nxp_host_roundtrips");
-            _stats.inc("host_nxp_host_ticks", _events.now() - done.t0);
+            _hnhRoundtrips.inc();
+            _hnhTicks.inc(_events.now() - done.t0);
             // The measured end-to-end latency is the cost model's input
             // (ProfileGuidedPlacement); a no-feedback policy skips it.
             recordPlacementOutcome(task, done);
@@ -931,8 +930,7 @@ MigrationEngine::handleHostStop(int pid, std::uint64_t id, RunResult r)
             // the migration return would have.
             CallFrame done = top;
             x.frames.pop_back();
-            _stats.inc(done.steered ? "placement.host_steered_returns"
-                                    : "fallback_returns");
+            (done.steered ? _steeredReturns : _fallbackReturns).inc();
             recordPlacementOutcome(task, done);
             _hostCore.finishHijackedCall(rv);
             runHostSegment(x);
@@ -991,12 +989,12 @@ MigrationEngine::handleHostStop(int pid, std::uint64_t id, RunResult r)
         unsigned home = isa_tag - nxpIsaTag;
         Placed p = decidePlacement(task, r.faultVa, home, hostSide);
         if (p.toHost) {
-            protoStat("placement.host_steered", home);
+            _hostSteered.inc(home);
             startHostTwinCall(x, r.faultVa, p.canonical, p.va, home, true);
             return;
         }
         if (p.device != home)
-            protoStat("placement.rebalanced", p.device);
+            _rebalanced.inc(p.device);
         startHostToNxpCall(x, p.va, p.device, p.canonical);
         return;
       }
@@ -1086,7 +1084,7 @@ MigrationEngine::decidePlacement(Task &task, VAddr target, unsigned home,
             }
         }
         if (hinted_va) {
-            protoStat("placement.hinted", static_cast<unsigned>(hint));
+            _hinted.inc(static_cast<unsigned>(hint));
             p.device = static_cast<unsigned>(hint);
             p.va = hinted_va;
             return p;
@@ -1197,11 +1195,11 @@ MigrationEngine::recordPlacementOutcome(Task &task, const CallFrame &frame)
     Tick latency = _events.now() - frame.t0;
     if (frame.callee == hostSide) {
         _policy->recordHostCall(task.cr3, frame.canonical, latency);
-        _stats.inc("placement.model_updates");
+        _modelUpdates.incTotal();
     } else {
         _policy->recordDeviceCall(task.cr3, frame.canonical, frame.callee,
                                   latency);
-        protoStat("placement.model_updates", frame.callee);
+        _modelUpdates.inc(frame.callee);
     }
 }
 
@@ -1220,19 +1218,19 @@ MigrationEngine::startHostToNxpCall(TaskExec &x, VAddr target,
         // registered, the handler re-points the faulting call at the
         // twin — the hijacked return address is already in place, so
         // the call completes exactly like a migration would have.
-        protoStat("rejected_submissions", device);
+        _rejectedSubmissions.inc(device);
         VAddr twin = _hostFallback ? fallbackVa(task.cr3, canonical) : 0;
         if (!twin) {
             failCall(x, CallStatus::deviceLost);
             releaseHost();
             return;
         }
-        protoStat("failovers", device);
+        _failovers.inc(device);
         startHostTwinCall(x, target, canonical, twin, device, false);
         return;
     }
 
-    protoStat("host_to_nxp_calls", device);
+    _hostToNxpCalls.inc(device);
     {
         CallFrame f{device, hostSide, _events.now()};
         f.canonical = canonical;
@@ -1290,7 +1288,7 @@ MigrationEngine::completeCall(TaskExec &x, std::uint64_t value)
     x.future->value = value;
     x.future->status = CallStatus::ok;
     x.future->done = true;
-    _stats.inc("calls_completed");
+    _callsCompleted.inc();
     tracePoint(TracePoint::callComplete, x.task->pid, x.id, 0, value);
     bool was_qos = x.qosAdmitted;
     unsigned tenant = x.tenant;
@@ -1383,7 +1381,7 @@ MigrationEngine::fireHostToNxp(MigrationDescriptor d, unsigned device)
     tracePoint(TracePoint::dmaToNxpStart, static_cast<int>(d.pid),
                d.callId, device);
     traceGauge(TraceGauge::h2dRing, device, s.h2d.inUse());
-    protoStat("doorbell_writes", device);
+    _doorbellWrites.inc(device);
     NxpPlatform *platform = s.platform;
     int dpid = static_cast<int>(d.pid);
     std::uint64_t cid = d.callId;
@@ -1451,7 +1449,7 @@ MigrationEngine::dispatchNxp(unsigned device)
                 d = MigrationDescriptor::fromWire(w);
                 ok = d.seq == t.h2dAcceptSeq + 1;
                 if (!ok)
-                    protoStat("seq_mismatches", device);
+                    _seqMismatches.inc(device);
             }
             if (!ok) {
                 nakH2d(device);
@@ -1500,7 +1498,7 @@ MigrationEngine::handleNxpDescriptor(unsigned device,
             if (!x) {
                 // The call this descriptor belongs to was failed or
                 // cancelled while the descriptor was in flight.
-                protoStat("stale_descriptors", device);
+                _staleDescriptors.inc(device);
                 releaseNxp(device);
                 return;
             }
@@ -1526,7 +1524,7 @@ MigrationEngine::handleNxpDescriptor(unsigned device,
               [this, device, d, pid] {
             TaskExec *xp = live(pid, d.callId);
             if (!xp) {
-                protoStat("stale_descriptors", device);
+                _staleDescriptors.inc(device);
                 releaseNxp(device);
                 return;
             }
@@ -1555,10 +1553,10 @@ MigrationEngine::handleNxpDescriptor(unsigned device,
             x.frames.pop_back();
             ++task.migrations;
             if (f.callee == hostSide) {
-                _stats.inc("nxp_host_nxp_roundtrips");
-                _stats.inc("nxp_host_nxp_ticks", _events.now() - f.t0);
+                _nhnRoundtrips.inc();
+                _nhnTicks.inc(_events.now() - f.t0);
             } else {
-                _stats.inc("nxp_to_nxp_roundtrips");
+                _nxpToNxpRoundtrips.inc();
             }
             // Device-originated round trips feed the cost model too
             // (the relayed-call feedback gap): the EWMAs would
@@ -1704,17 +1702,16 @@ MigrationEngine::startNxpFaultMigration(TaskExec &x, VAddr target,
             Placed p = decidePlacement(task, target, dest, device);
             canonical = p.canonical;
             if (p.toHost) {
-                protoStat("placement.host_steered", dest);
+                _hostSteered.inc(dest);
                 dest = hostSide;
             } else if (p.device != dest) {
-                protoStat("placement.rebalanced", p.device);
+                _rebalanced.inc(p.device);
                 dest = p.device;
             }
             dispatch = p.va;
         }
 
-        _stats.inc(dest == hostSide ? "nxp_to_host_calls"
-                                    : "nxp_to_nxp_calls");
+        (dest == hostSide ? _nxpToHostCalls : _nxpToNxpCalls).inc();
         tracePoint(TracePoint::nxpDescBuild, pid, id, device, target);
 
         // Build the NxP->host call descriptor from the faulting call's
@@ -1770,7 +1767,7 @@ MigrationEngine::deviceSendToHost(TaskExec &x, MigrationDescriptor d,
                 // The device (or its link) was written off while the
                 // send was being staged; nothing may enter the drained
                 // rings. The waiting caller is failed by quarantine.
-                protoStat("dropped_descriptors", device);
+                _droppedDescriptors.inc(device);
                 releaseNxp(device);
                 return;
             }
@@ -1814,12 +1811,12 @@ MigrationEngine::hostIrq(unsigned device)
     // The device raised the DMA-complete MSI: read the descriptor out
     // of the inbox ring, then let the IRQ handler find and wake the
     // suspended task.
-    protoStat("host_irqs", device);
+    _hostIrqs.inc(device);
     NxpSide &s = side(device);
     if (s.d2hLanded == 0) {
         // A duplicated MSI, or one whose descriptor the watchdog has
         // already serviced: nothing unserviced has landed.
-        protoStat("spurious_irqs", device);
+        _spuriousIrqs.inc(device);
         return;
     }
     processHostInbox(device);
@@ -1837,7 +1834,7 @@ MigrationEngine::processHostInbox(unsigned device)
         d = MigrationDescriptor::fromWire(w);
         ok = d.seq == s.d2hAcceptSeq + 1;
         if (!ok)
-            protoStat("seq_mismatches", device);
+            _seqMismatches.inc(device);
     }
     if (!ok) {
         nakD2h(device);
@@ -1860,14 +1857,14 @@ MigrationEngine::processHostInbox(unsigned device)
         if (!x) {
             // The call this return belongs to is gone (failed,
             // cancelled, already failed over).
-            protoStat("stale_descriptors", device);
+            _staleDescriptors.inc(device);
             return;
         }
         if (x->pendingFallback || x->task->state != TaskState::onNxp) {
             // The thread was already rescued out of its suspension
             // (host fallback in flight); this straggler return must
             // not wake it a second time.
-            protoStat("stale_descriptors", device);
+            _staleDescriptors.inc(device);
             return;
         }
         _kernel.wake(*x->task);
@@ -1885,17 +1882,17 @@ void
 MigrationEngine::nakH2d(unsigned device)
 {
     NxpSide &s = side(device);
-    protoStat("naks", device);
+    _naks.inc(device);
     if (++s.h2dRetries > _retryBudget)
         unrecoverable("host->NxP", device);
-    protoStat("retries", device);
+    _retries.inc(device);
     // The corrupt arrival is consumed; the retransmission will signal a
     // fresh one. The host's staging copy of the head slot is intact, so
     // the NAK just replays its DMA burst.
     s.platform->consumeInbox();
     unsigned slot = s.h2d.front();
     NxpPlatform *platform = s.platform;
-    protoStat("doorbell_writes", device);
+    _doorbellWrites.inc(device);
     s.dma->copyHostToNxp(s.h2d.stagingPa(slot), s.h2d.mailboxPa(slot),
                          MigrationDescriptor::wireBytes,
                          [this, platform, device] {
@@ -1909,10 +1906,10 @@ void
 MigrationEngine::nakD2h(unsigned device)
 {
     NxpSide &s = side(device);
-    protoStat("naks", device);
+    _naks.inc(device);
     if (++s.d2hRetries > _retryBudget)
         unrecoverable("NxP->host", device);
-    protoStat("retries", device);
+    _retries.inc(device);
     // The landed copy is trash; replay the outbox slot's burst. The
     // watchdog armed at first fire keeps covering the retransmission's
     // MSI, which may itself be lost.
@@ -1944,7 +1941,7 @@ MigrationEngine::armD2hWatchdog(unsigned device, std::uint64_t seq)
         }
         // The descriptor landed but its MSI never arrived: the driver's
         // poll finds and services it.
-        protoStat("timeouts", device);
+        _timeouts.inc(device);
         processHostInbox(device);
         if (side(device).d2hAcceptSeq < seq)
             armD2hWatchdog(device, seq); // NAKed; watch the retry
@@ -2035,7 +2032,7 @@ MigrationEngine::heartbeat()
             s.strikes = 0;
             if (s.health == DeviceHealth::suspect) {
                 s.health = DeviceHealth::healthy;
-                protoStat("health_recoveries", dev);
+                _healthRecoveries.inc(dev);
             }
             continue;
         }
@@ -2054,7 +2051,7 @@ MigrationEngine::strike(unsigned device)
 {
     NxpSide &s = side(device);
     ++s.strikes;
-    protoStat("health_strikes", device);
+    _healthStrikes.inc(device);
     if (s.health == DeviceHealth::healthy)
         s.health = DeviceHealth::suspect;
     if (s.strikes >= _strikeLimit)
@@ -2076,12 +2073,12 @@ MigrationEngine::quarantineDevice(unsigned device)
     if (s.health == DeviceHealth::quarantined)
         return;
     s.health = DeviceHealth::quarantined;
-    protoStat("quarantines", device);
+    _quarantines.inc(device);
     if (_qos.enabled) {
         // The capacity the fabric just lost propagates into admission:
         // effectiveTenantBudget() shrinks with the alive-device count,
         // and this counter's _dev# split records who took it away.
-        protoStat("qos.capacity_lost", device);
+        _qosCapacityLost.inc(device);
     }
 
     // Nothing staged for or by the device will ever be serviced again:
@@ -2139,13 +2136,13 @@ MigrationEngine::failCall(TaskExec &x, CallStatus status)
                dev == hostSide ? 0 : dev, static_cast<std::uint64_t>(status));
     switch (status) {
       case CallStatus::cancelled:
-        failStat("cancellations", dev);
+        failStat(_cancellations, dev);
         break;
       case CallStatus::deadlineExceeded:
-        failStat("deadline_exceeded", dev);
+        failStat(_deadlineExceeded, dev);
         break;
       case CallStatus::deviceLost:
-        failStat("device_lost", dev);
+        failStat(_deviceLost, dev);
         break;
       default:
         panic("failCall with status %s", callStatusName(status));
@@ -2204,7 +2201,7 @@ void
 MigrationEngine::scheduleFallback(TaskExec &x)
 {
     CallFrame &top = x.frames.back();
-    protoStat("failovers", top.callee);
+    _failovers.inc(top.callee);
     // The frame becomes a host-executed call; its recorded target and
     // arguments drive the re-dispatch once the thread gets the core.
     top.callee = hostSide;

@@ -552,14 +552,6 @@ class MigrationEngine
     /** Devices not written off by the health watchdog. */
     unsigned aliveDeviceCount() const;
 
-    /** Bump the aggregate and the per-tenant (_cr3#k) counter. */
-    void
-    tenantStat(const char *key, unsigned tenant)
-    {
-        _stats.inc(key);
-        _stats.inc(strfmt("%s_cr3#%u", key, tenant));
-    }
-
     /** First dispatch of a submitted call: set up and run the entry. */
     void startEntry(TaskExec &x);
     /** Dispatch a thread woken by a migration-return interrupt. */
@@ -734,22 +726,68 @@ class MigrationEngine
      *  hostSide for a pure host call. */
     unsigned execDevice(const TaskExec &x) const;
 
+    using Counter = StatGroup::Counter;
+
+    /**
+     * A flick.<key> counter with a split per index k, flick.<key>_dev<k>
+     * per device or flick.<key>_cr3#<k> per tenant (DESIGN.md §15). Both
+     * are handles (DESIGN.md §17): the split's key is formatted on the
+     * first bump for k and never again.
+     */
+    class SplitStat
+    {
+      public:
+        SplitStat(StatGroup &stats, const char *key, const char *split)
+            : _stats(stats), _key(key), _split(split), _total(stats, key)
+        {}
+
+        /** Bump the aggregate and index @p k's split. */
+        void
+        inc(unsigned k)
+        {
+            _total.inc();
+            while (k >= _byIndex.size())
+                _byIndex.emplace_back(_stats,
+                                      strfmt("%s%s%zu", _key, _split,
+                                             _byIndex.size()));
+            _byIndex[k].inc();
+        }
+
+        /** Bump the aggregate alone. */
+        void incTotal() { _total.inc(); }
+
+      private:
+        StatGroup &_stats;
+        const char *_key;
+        const char *_split;
+        Counter _total;
+        std::vector<Counter> _byIndex;
+    };
+
+    /** A counter split per NxP device. */
+    struct DeviceStat : SplitStat
+    {
+        DeviceStat(StatGroup &stats, const char *key)
+            : SplitStat(stats, key, "_dev")
+        {}
+    };
+
+    /** A counter split per QoS tenant. */
+    struct TenantStat : SplitStat
+    {
+        TenantStat(StatGroup &stats, const char *key)
+            : SplitStat(stats, key, "_cr3#")
+        {}
+    };
+
     /** Charge a failure counter, per-device when one is involved. */
     void
-    failStat(const char *key, unsigned device)
+    failStat(DeviceStat &stat, unsigned device)
     {
         if (device == hostSide)
-            _stats.inc(key);
+            stat.incTotal();
         else
-            protoStat(key, device);
-    }
-
-    /** Bump the aggregate and the per-device protocol counter. */
-    void
-    protoStat(const char *key, unsigned device)
-    {
-        _stats.inc(key);
-        _stats.inc(strfmt("%s_dev%u", key, device));
+            stat.inc(device);
     }
 
     // --- Helpers -------------------------------------------------------
@@ -847,6 +885,55 @@ class MigrationEngine
     //! (cr3, twin va) -> canonical va, the reverse of _deviceTwins.
     std::map<std::pair<Addr, VAddr>, VAddr> _twinCanonical;
     StatGroup _stats;
+
+    // The engine's counters, registered once (DESIGN.md §15 names them,
+    // §17 explains the handles). Cold paths (failures, chaos, device
+    // death) still bump string keys on _stats directly.
+    Counter _callsSubmitted{_stats, "calls_submitted"};
+    Counter _callsCompleted{_stats, "calls_completed"};
+    Counter _hnhRoundtrips{_stats, "host_nxp_host_roundtrips"};
+    Counter _hnhTicks{_stats, "host_nxp_host_ticks"};
+    Counter _nhnRoundtrips{_stats, "nxp_host_nxp_roundtrips"};
+    Counter _nhnTicks{_stats, "nxp_host_nxp_ticks"};
+    Counter _nxpToNxpRoundtrips{_stats, "nxp_to_nxp_roundtrips"};
+    Counter _nxpToHostCalls{_stats, "nxp_to_host_calls"};
+    Counter _nxpToNxpCalls{_stats, "nxp_to_nxp_calls"};
+    Counter _steeredReturns{_stats, "placement.host_steered_returns"};
+    Counter _fallbackReturns{_stats, "fallback_returns"};
+    DeviceStat _hostToNxpCalls{_stats, "host_to_nxp_calls"};
+    DeviceStat _doorbellWrites{_stats, "doorbell_writes"};
+    DeviceStat _hostIrqs{_stats, "host_irqs"};
+    DeviceStat _spuriousIrqs{_stats, "spurious_irqs"};
+    DeviceStat _naks{_stats, "naks"};
+    DeviceStat _retries{_stats, "retries"};
+    DeviceStat _timeouts{_stats, "timeouts"};
+    DeviceStat _seqMismatches{_stats, "seq_mismatches"};
+    DeviceStat _staleDescriptors{_stats, "stale_descriptors"};
+    DeviceStat _droppedDescriptors{_stats, "dropped_descriptors"};
+    DeviceStat _rejectedSubmissions{_stats, "rejected_submissions"};
+    DeviceStat _failovers{_stats, "failovers"};
+    DeviceStat _healthStrikes{_stats, "health_strikes"};
+    DeviceStat _healthRecoveries{_stats, "health_recoveries"};
+    DeviceStat _quarantines{_stats, "quarantines"};
+    DeviceStat _cancellations{_stats, "cancellations"};
+    DeviceStat _deadlineExceeded{_stats, "deadline_exceeded"};
+    DeviceStat _deviceLost{_stats, "device_lost"};
+    DeviceStat _hostSteered{_stats, "placement.host_steered"};
+    DeviceStat _rebalanced{_stats, "placement.rebalanced"};
+    DeviceStat _hinted{_stats, "placement.hinted"};
+    DeviceStat _modelUpdates{_stats, "placement.model_updates"};
+    DeviceStat _qosHintRevotes{_stats, "qos.hint_revotes"};
+    DeviceStat _qosCapacityLost{_stats, "qos.capacity_lost"};
+    TenantStat _qosSubmitted{_stats, "qos.submitted"};
+    TenantStat _qosQueued{_stats, "qos.queued"};
+    TenantStat _qosAdmitted{_stats, "qos.admitted"};
+    TenantStat _qosDequeued{_stats, "qos.dequeued"};
+    TenantStat _qosAgedPicks{_stats, "qos.aged_picks"};
+    TenantStat _qosCancelledQueued{_stats, "qos.cancelled_queued"};
+    TenantStat _qosShed{_stats, "qos.shed"};
+    TenantStat _qosShedQueueFull{_stats, "qos.shed.queue_full"};
+    TenantStat _qosShedOverBudget{_stats, "qos.shed.tenant_over_budget"};
+    TenantStat _qosShedInfeasible{_stats, "qos.shed.deadline_infeasible"};
 
     // --- QoS state (all dormant while _qos.enabled is false) -----------
     QosConfig _qos;

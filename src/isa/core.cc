@@ -30,13 +30,12 @@ Core::syncDecodeStats()
 {
     if (!_decodeCacheStats)
         return;
-    // The step loop bumps raw fields (a StatGroup inc per step would
-    // hash a key string per instruction); publish them here.
-    _stats.set("decode_cache_hits", _decodeCacheStats->hits);
-    _stats.set("decode_cache_fills", _decodeCacheStats->fills);
-    _stats.set("decode_cache_fallbacks", _decodeCacheStats->fallbacks);
-    _stats.set("decode_cache_invalidated_pages",
-               _decodeCacheStats->invalidatedPages);
+    // The step loop bumps raw fields (a StatGroup bump per step would
+    // tax the fast path); publish them here once per slice.
+    _decodeHits.set(_decodeCacheStats->hits);
+    _decodeFills.set(_decodeCacheStats->fills);
+    _decodeFallbacks.set(_decodeCacheStats->fallbacks);
+    _decodeInvalidated.set(_decodeCacheStats->invalidatedPages);
 }
 
 void

@@ -239,7 +239,7 @@ class Core
         }
 
         _totalInstructions += result.instructions;
-        _stats.inc("instructions", result.instructions);
+        _instructions.inc(result.instructions);
         syncDecodeStats();
         result.elapsed = _slice;
         return result;
@@ -342,6 +342,13 @@ class Core
     NativeHook _nativeHook;
     TraceHook _traceHook;
     StatGroup _stats;
+    // Bumped once per run() slice, so resolved once (DESIGN.md §17).
+    StatGroup::Counter _instructions{_stats, "instructions"};
+    StatGroup::Counter _decodeHits{_stats, "decode_cache_hits"};
+    StatGroup::Counter _decodeFills{_stats, "decode_cache_fills"};
+    StatGroup::Counter _decodeFallbacks{_stats, "decode_cache_fallbacks"};
+    StatGroup::Counter _decodeInvalidated{_stats,
+                                          "decode_cache_invalidated_pages"};
 };
 
 } // namespace flick

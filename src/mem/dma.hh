@@ -107,8 +107,8 @@ class DmaEngine
     void complete(Transfer t);
     /** Sample the queue-depth gauge (no-op without an enabled tracer). */
     void traceQueueDepth();
-    /** Maybe flip bits in an in-flight payload (chaos). */
-    void corrupt(std::vector<std::uint8_t> &buf);
+    /** Maybe flip bits in an in-flight payload of @p len bytes (chaos). */
+    void corrupt(std::uint8_t *buf, std::uint64_t len);
 
     EventQueue &_events;
     MemSystem &_mem;
@@ -118,7 +118,13 @@ class DmaEngine
     unsigned _device;
     bool _busy = false;
     std::deque<Transfer> _pending;
+    /** Landing buffer for complete(), reused by every transfer. */
+    std::vector<std::uint8_t> _bounce;
     StatGroup _stats;
+    // Bumped once per transfer, so resolved once (DESIGN.md §17).
+    StatGroup::Counter _queued{_stats, "queued"};
+    StatGroup::Counter _transfers{_stats, "transfers"};
+    StatGroup::Counter _bytes{_stats, "bytes"};
 };
 
 } // namespace flick

@@ -12,7 +12,7 @@ IrqController::raise(unsigned vector)
     auto it = _handlers.find(vector);
     if (it == _handlers.end())
         panic("IRQ vector %u raised with no handler connected", vector);
-    _stats.inc("raised");
+    _raised.inc();
     if (_chaos && _chaos->shouldDropIrq()) {
         _stats.inc("dropped");
         return;
@@ -26,12 +26,12 @@ IrqController::raise(unsigned vector)
         }
     }
     Handler &h = it->second;
-    _events.scheduleIn(latency, strfmt("irq%u", vector), [&h] { h(); });
+    _events.scheduleIn(latency, "irq", [&h] { h(); });
     if (_chaos && _chaos->shouldDuplicateIrq()) {
         _stats.inc("duplicated");
         // The ghost copy lands shortly after the real one.
-        _events.scheduleIn(latency + _timing.irqDelivery / 4,
-                           strfmt("irq%u-dup", vector), [&h] { h(); });
+        _events.scheduleIn(latency + _timing.irqDelivery / 4, "irq-dup",
+                           [&h] { h(); });
     }
 }
 

@@ -63,6 +63,8 @@ class IrqController
     ChaosController *_chaos = nullptr;
     std::unordered_map<unsigned, Handler> _handlers;
     StatGroup _stats;
+    /** Bumped once per crossing, so resolved once (DESIGN.md §17). */
+    StatGroup::Counter _raised{_stats, "raised"};
 };
 
 } // namespace flick

@@ -66,6 +66,27 @@ MemSystem::MemSystem(const TimingConfig &timing,
     }
     _ctrl.resize(platform.nxpDeviceCount, nullptr);
 
+    // Per-route access counters, named once here at the indices
+    // resolve() returns.
+    const unsigned n = platform.nxpDeviceCount;
+    std::vector<std::string> routes(peerRoute(n - 1, n - 1) + 1);
+    routes[hostToHostRoute] = "host_to_host_dram";
+    routes[nxpToHostRoute] = "nxp_to_host_dram";
+    for (unsigned k = 0; k < n; ++k) {
+        const std::string dev = devStatName(k);
+        routes[deviceRoute(k, 0)] = "host_to_" + dev + "_dram";
+        routes[deviceRoute(k, 1)] = "host_to_" + dev + "_mmio";
+        routes[deviceRoute(k, 2)] = dev + "_to_" + dev + "_dram";
+        routes[deviceRoute(k, 3)] = dev + "_to_local_mmio";
+        for (unsigned peer = 0; peer < n; ++peer)
+            routes[peerRoute(k, peer)] =
+                dev + "_peer_to_" + devStatName(peer) + "_dram";
+    }
+    for (const std::string &route : routes) {
+        _routeReads.emplace_back(_stats, route + "_reads");
+        _routeWrites.emplace_back(_stats, route + "_writes");
+    }
+
     // Every mutation of a backing store — routed or back-door — reaches
     // the registered decode sinks so stale predecoded text cannot
     // survive a write (DESIGN.md §13).
@@ -173,19 +194,19 @@ MemSystem::resolve(Requester r, Addr pa, std::uint64_t len) const
             return {Route::Kind::hostDram, 0, pa,
                     r == Requester::hostCore ? _timing.hostToHostDram
                                              : Tick(0),
-                    "host_to_host_dram"};
+                    hostToHostRoute};
         }
         if (p.inBarDram(pa, dev)) {
             return {Route::Kind::nxpDram, dev, pa - p.barBase(dev),
                     r == Requester::hostCore ? _timing.hostToNxpDram
                                              : Tick(0),
-                    "host_to_" + devStatName(dev) + "_dram"};
+                    deviceRoute(dev, 0)};
         }
         if (p.inBarCtrl(pa, dev)) {
             return {Route::Kind::ctrlDev, dev, pa - p.ctrlBase(dev),
                     r == Requester::hostCore ? _timing.hostToNxpMmio
                                              : Tick(0),
-                    "host_to_" + devStatName(dev) + "_mmio"};
+                    deviceRoute(dev, 1)};
         }
         panic("%s access to unmapped host PA %#llx (len %llu)",
               requesterName(r), (unsigned long long)pa,
@@ -201,17 +222,15 @@ MemSystem::resolve(Requester r, Addr pa, std::uint64_t len) const
     if (pa >= p.nxpDramLocalBase &&
         pa < p.nxpDramLocalBase + p.deviceDramBytes(from)) {
         return {Route::Kind::nxpDram, from, pa - p.nxpDramLocalBase,
-                _timing.nxpToNxpDram,
-                devStatName(from) + "_to_" + devStatName(from) + "_dram"};
+                _timing.nxpToNxpDram, deviceRoute(from, 2)};
     }
     if (p.inNxpCtrl(pa)) {
         return {Route::Kind::ctrlDev, from, pa - p.nxpCtrlLocalBase,
-                _timing.nxpToLocalMmio,
-                devStatName(from) + "_to_local_mmio"};
+                _timing.nxpToLocalMmio, deviceRoute(from, 3)};
     }
     if (p.inHostDram(pa)) {
         return {Route::Kind::hostDram, 0, pa, _timing.nxpToHostDram,
-                "nxp_to_host_dram"};
+                nxpToHostRoute};
     }
     unsigned peer;
     if (p.inBarDram(pa, peer)) {
@@ -220,8 +239,7 @@ MemSystem::resolve(Requester r, Addr pa, std::uint64_t len) const
             // through the PCIe switch (two link crossings).
             return {Route::Kind::nxpDram, peer, pa - p.barBase(peer),
                     _timing.nxpToHostDram + _timing.hostToNxpDram,
-                    devStatName(from) + "_peer_to_" + devStatName(peer) +
-                        "_dram"};
+                    peerRoute(from, peer)};
         }
         panic("%s issued un-remapped BAR address %#llx: the NxP TLB must "
               "remap BAR-range physical addresses to local addresses "
@@ -262,7 +280,7 @@ MemSystem::read(Requester r, Addr pa, void *buf, std::uint64_t len)
 {
     Route route = resolve(r, pa, len);
     if (r != Requester::debug)
-        _stats.inc(route.stat + "_reads");
+        _routeReads[route.stat].inc();
     if (_residency)
         touchResidency(r, route);
     switch (route.kind) {
@@ -295,7 +313,7 @@ MemSystem::write(Requester r, Addr pa, const void *buf, std::uint64_t len)
 {
     Route route = resolve(r, pa, len);
     if (r != Requester::debug)
-        _stats.inc(route.stat + "_writes");
+        _routeWrites[route.stat].inc();
     if (_residency)
         touchResidency(r, route);
     switch (route.kind) {

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "mem/device.hh"
@@ -213,10 +212,28 @@ class MemSystem
         unsigned device; //!< NxP device index for nxpDram/ctrlDev kinds.
         Addr offset;     //!< Offset within the target store/window.
         Tick latency;    //!< Charge for this access.
-        std::string stat; //!< Stats key.
+        unsigned stat;   //!< Index into _routeReads/_routeWrites.
     };
 
     Route resolve(Requester r, Addr pa, std::uint64_t len) const;
+
+    // Route counter indices; the constructor names each one.
+    static constexpr unsigned hostToHostRoute = 0;
+    static constexpr unsigned nxpToHostRoute = 1;
+    /** Device @p dev's four own routes: host to its DRAM (0) and MMIO
+     *  (1), its core to its DRAM (2) and to its control window (3). */
+    static unsigned
+    deviceRoute(unsigned dev, unsigned which)
+    {
+        return 2 + 4 * dev + which;
+    }
+    /** Device @p from's core to peer device @p peer's DRAM. */
+    unsigned
+    peerRoute(unsigned from, unsigned peer) const
+    {
+        const unsigned n = static_cast<unsigned>(_nxpDrams.size());
+        return 2 + 4 * n + from * n + peer;
+    }
 
     /** Bump the residency counter for a resolved core access. */
     void touchResidency(Requester r, const Route &route);
@@ -229,6 +246,9 @@ class MemSystem
     std::vector<DecodeSink *> _decodeSinks;
     ResidencyTracker *_residency = nullptr;
     StatGroup _stats;
+    /** "<route>_reads" / "<route>_writes" per route index. */
+    std::vector<StatGroup::Counter> _routeReads;
+    std::vector<StatGroup::Counter> _routeWrites;
 };
 
 } // namespace flick

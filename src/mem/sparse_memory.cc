@@ -21,18 +21,30 @@ SparseMemory::boundsCheck(Addr offset, std::uint64_t len) const
 const SparseMemory::Chunk *
 SparseMemory::chunkFor(Addr offset) const
 {
-    auto it = _chunks.find(offset / chunkBytes);
-    return it == _chunks.end() ? nullptr : it->second.get();
+    const std::uint64_t index = offset / chunkBytes;
+    if (index == _memoIndex)
+        return _memoChunk;
+    auto it = _chunks.find(index);
+    if (it == _chunks.end())
+        return nullptr;
+    _memoIndex = index;
+    _memoChunk = it->second.get();
+    return _memoChunk;
 }
 
 SparseMemory::Chunk &
 SparseMemory::chunkForWrite(Addr offset)
 {
-    auto &slot = _chunks[offset / chunkBytes];
+    const std::uint64_t index = offset / chunkBytes;
+    if (index == _memoIndex)
+        return *_memoChunk;
+    auto &slot = _chunks[index];
     if (!slot) {
         slot = std::make_unique<Chunk>();
         slot->fill(0);
     }
+    _memoIndex = index;
+    _memoChunk = slot.get();
     return *slot;
 }
 

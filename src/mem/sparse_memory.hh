@@ -97,6 +97,11 @@ class SparseMemory
 
     std::uint64_t _size;
     std::unordered_map<std::uint64_t, std::unique_ptr<Chunk>> _chunks;
+    // The last chunk looked up, so runs of accesses to one 4 KB chunk
+    // skip the hash lookup. Only allocated chunks are memoized, and
+    // chunks are never freed, so the memo cannot dangle.
+    mutable std::uint64_t _memoIndex = ~std::uint64_t(0);
+    mutable Chunk *_memoChunk = nullptr;
     WriteListener _listener;
 };
 

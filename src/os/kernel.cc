@@ -99,14 +99,14 @@ Kernel::classifyFetchFault(Fault fault, IsaKind core_isa)
         // Host side: only the NX instruction fault means "call an NxP
         // function"; everything else is a real fault.
         if (fault == Fault::nxFetch) {
-            _stats.inc("nx_faults");
+            _nxFaults.inc();
             return FaultAction::migrateToNxp;
         }
     } else {
         // NxP side: both the inverted-NX fetch fault and the misaligned
         // instruction exception indicate host text (Section IV-B2).
         if (fault == Fault::nonNxFetch || fault == Fault::misalignedFetch) {
-            _stats.inc("nxp_fetch_faults");
+            _nxpFetchFaults.inc();
             return FaultAction::migrateToHost;
         }
     }
@@ -131,7 +131,7 @@ Kernel::suspendForMigration(Task &task,
     task.hostContext = std::move(host_context);
     task.migrationFlag = true;
     task.state = TaskState::onNxp;
-    _stats.inc("suspensions");
+    _suspensions.inc();
     traceInstant(TracePoint::kernelSuspend, task);
 }
 
@@ -141,7 +141,7 @@ Kernel::takeMigrationTrigger(Task &task)
     if (!task.migrationFlag)
         return false;
     task.migrationFlag = false;
-    _stats.inc("dma_triggers");
+    _dmaTriggers.inc();
     return true;
 }
 
@@ -152,7 +152,7 @@ Kernel::wake(Task &task)
         panic("wake of task %d in state %d", task.pid,
               static_cast<int>(task.state));
     task.state = TaskState::runnable;
-    _stats.inc("wakeups");
+    _wakeups.inc();
     traceInstant(TracePoint::kernelWake, task);
 }
 
@@ -163,7 +163,7 @@ Kernel::resume(Task &task)
         panic("resume of task %d in state %d", task.pid,
               static_cast<int>(task.state));
     task.state = TaskState::running;
-    _stats.inc("resumes");
+    _resumes.inc();
     traceInstant(TracePoint::kernelResume, task);
     return std::move(task.hostContext);
 }

@@ -142,6 +142,13 @@ class Kernel
     std::vector<std::unique_ptr<Task>> _tasks;
     std::deque<Task *> _runQueue;
     StatGroup _stats;
+    // Bumped once per crossing, so resolved once (DESIGN.md §17).
+    StatGroup::Counter _nxFaults{_stats, "nx_faults"};
+    StatGroup::Counter _nxpFetchFaults{_stats, "nxp_fetch_faults"};
+    StatGroup::Counter _suspensions{_stats, "suspensions"};
+    StatGroup::Counter _dmaTriggers{_stats, "dma_triggers"};
+    StatGroup::Counter _wakeups{_stats, "wakeups"};
+    StatGroup::Counter _resumes{_stats, "resumes"};
     Tracer *_tracer = nullptr;
     const EventQueue *_traceClock = nullptr;
 };

@@ -1,101 +1,95 @@
 #include "sim/event_queue.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace flick
 {
 
-EventQueue::~EventQueue()
-{
-    // The queue owns its entries: destroying an entry destroys its
-    // callback and whatever the callback captured.
-    while (!_queue.empty()) {
-        delete _queue.top();
-        _queue.pop();
-    }
-}
-
 EventQueue::EventId
-EventQueue::schedule(Tick when, std::string name, Callback cb)
+EventQueue::schedule(Tick when, const char *name, Callback cb)
 {
     if (when < _now) {
-        panic("event '%s' scheduled in the past (%llu < %llu)",
-              name.c_str(), (unsigned long long)when,
-              (unsigned long long)_now);
+        panic("event '%s' scheduled in the past (%llu < %llu)", name,
+              (unsigned long long)when, (unsigned long long)_now);
     }
-    auto *e = new Entry{when, _seq++, _nextId++, std::move(name),
-                        std::move(cb), false};
-    _queue.push(e);
+    std::uint32_t slot;
+    if (_free.empty()) {
+        slot = static_cast<std::uint32_t>(_slots.size());
+        _slots.emplace_back();
+    } else {
+        slot = _free.back();
+        _free.pop_back();
+    }
+    Slot &s = _slots[slot];
+    s.cb = std::move(cb);
+    s.name = name;
+    s.cancelled = false;
+    const EventId id = _seq + 1;
+    _heap.push_back({when, _seq++, slot});
+    std::push_heap(_heap.begin(), _heap.end(), later);
     ++_live;
-    return e->id;
+    return id;
 }
 
 bool
 EventQueue::deschedule(EventId id)
 {
-    // The heap cannot be searched efficiently; mark-and-skip instead.
-    // We rebuild a temporary view by scanning the underlying container via
-    // a copy of the queue. To keep this O(n) rather than O(n log n), we
-    // walk the priority_queue's storage through a protected-member trick.
-    struct Opener : std::priority_queue<Entry *, std::vector<Entry *>, Cmp>
-    {
-        static std::vector<Entry *> &
-        container(std::priority_queue<Entry *, std::vector<Entry *>, Cmp> &q)
-        {
-            return static_cast<Opener &>(q).c;
-        }
-    };
-    for (Entry *e : Opener::container(_queue)) {
-        if (e->id == id && !e->cancelled) {
-            e->cancelled = true;
-            --_live;
-            return true;
-        }
+    // Mark-and-skip: the key stays in the heap (and the callback keeps
+    // its captures) until it reaches the head and is discarded there.
+    // Nothing on the simulator's hot path cancels events, so a scan of
+    // the contiguous keys is enough to find it.
+    for (const Key &k : _heap) {
+        if (k.seq + 1 != id)
+            continue;
+        Slot &s = _slots[k.slot];
+        if (s.cancelled)
+            return false;
+        s.cancelled = true;
+        --_live;
+        return true;
     }
     return false;
 }
 
-EventQueue::Entry *
-EventQueue::popNextLive()
+void
+EventQueue::popHead()
 {
-    while (!_queue.empty()) {
-        Entry *e = _queue.top();
-        _queue.pop();
-        if (e->cancelled) {
-            delete e;
-            continue;
-        }
-        return e;
-    }
-    return nullptr;
+    std::uint32_t slot = _heap.front().slot;
+    std::pop_heap(_heap.begin(), _heap.end(), later);
+    _heap.pop_back();
+    _slots[slot].cb = nullptr;
+    _free.push_back(slot);
+}
+
+bool
+EventQueue::liveHead()
+{
+    while (!_heap.empty() && _slots[_heap.front().slot].cancelled)
+        popHead();
+    return !_heap.empty();
 }
 
 Tick
-EventQueue::nextEventTime() const
+EventQueue::nextEventTime()
 {
-    // Cancelled entries may sit at the top; peek through them without
-    // mutating (rare path, small queues in practice).
-    auto copy = _queue;
-    while (!copy.empty()) {
-        Entry *e = copy.top();
-        if (!e->cancelled)
-            return e->when;
-        copy.pop();
-    }
-    return maxTick;
+    return liveHead() ? _heap.front().when : maxTick;
 }
 
 bool
 EventQueue::step()
 {
-    Entry *e = popNextLive();
-    if (!e)
+    if (!liveHead())
         return false;
-    _now = e->when;
+    const Key head = _heap.front();
+    // Take the callback out and recycle the slot before running it: the
+    // callback may schedule new events, which can reuse this very slot.
+    Callback cb = std::move(_slots[head.slot].cb);
+    popHead();
+    _now = head.when;
     --_live;
     ++_eventsRun;
-    Callback cb = std::move(e->cb);
-    delete e;
     cb();
     return true;
 }

@@ -13,8 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <string>
 #include <vector>
 
 #include "sim/ticks.hh"
@@ -39,7 +37,7 @@ class EventQueue
 
     EventQueue() = default;
     /** Frees every still-pending event (its callback never runs). */
-    ~EventQueue();
+    ~EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -50,17 +48,18 @@ class EventQueue
      * Schedule @p cb to run at absolute time @p when.
      *
      * @param when Absolute tick; must not be in the past.
-     * @param name Debug label, retained for diagnostics.
+     * @param name Debug label (a string with static storage, typically a
+     *        literal), retained for diagnostics.
      * @param cb Callback to invoke.
      * @return Handle usable with deschedule().
      */
-    EventId schedule(Tick when, std::string name, Callback cb);
+    EventId schedule(Tick when, const char *name, Callback cb);
 
     /** Schedule @p cb to run @p delay ticks from now. */
     EventId
-    scheduleIn(Tick delay, std::string name, Callback cb)
+    scheduleIn(Tick delay, const char *name, Callback cb)
     {
-        return schedule(_now + delay, std::move(name), std::move(cb));
+        return schedule(_now + delay, name, std::move(cb));
     }
 
     /**
@@ -77,8 +76,11 @@ class EventQueue
     /** Number of pending (non-cancelled) events. */
     std::size_t pending() const { return _live; }
 
-    /** Time of the earliest pending event, or maxTick if none. */
-    Tick nextEventTime() const;
+    /**
+     * Time of the earliest pending event, or maxTick if none. Discards
+     * cancelled events sitting at the head of the queue on the way.
+     */
+    Tick nextEventTime();
 
     /**
      * Run the earliest pending event.
@@ -102,35 +104,49 @@ class EventQueue
     std::uint64_t eventsRun() const { return _eventsRun; }
 
   private:
-    struct Entry
+    /**
+     * A pooled event. Slots are reused through a free list once their
+     * event has fired or its cancellation has been popped, so scheduling
+     * allocates no entry per event.
+     */
+    struct Slot
     {
-        Tick when;
-        std::uint64_t seq; //!< FIFO tie-break for same-tick events.
-        EventId id;
-        std::string name;
         Callback cb;
+        const char *name = nullptr;
         bool cancelled = false;
     };
 
-    struct Cmp
+    /**
+     * Heap key: the firing order (when, then FIFO seq) plus the slot, so
+     * a sift moves 24 bytes and compares without touching the slot.
+     */
+    struct Key
     {
-        bool
-        operator()(const Entry *a, const Entry *b) const
-        {
-            if (a->when != b->when)
-                return a->when > b->when;
-            return a->seq > b->seq;
-        }
+        Tick when;
+        std::uint64_t seq; //!< The event's id is seq + 1.
+        std::uint32_t slot;
     };
 
-    Entry *popNextLive();
+    /** Heap order: true when @p a fires after @p b (a min-heap). */
+    static bool
+    later(const Key &a, const Key &b)
+    {
+        return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    }
+
+    /** Remove the head key and return its slot to the free list. */
+    void popHead();
+
+    /** Discard cancelled events at the head; true if one is left. */
+    bool liveHead();
 
     Tick _now = 0;
     std::uint64_t _seq = 0;
-    EventId _nextId = 1;
     std::size_t _live = 0;
     std::uint64_t _eventsRun = 0;
-    std::priority_queue<Entry *, std::vector<Entry *>, Cmp> _queue;
+    std::vector<Slot> _slots;
+    std::vector<std::uint32_t> _free;
+    std::vector<Key> _heap;
 };
 
 } // namespace flick

@@ -21,11 +21,51 @@ namespace flick
 
 /**
  * A named collection of scalar statistics.
+ *
+ * inc(key) hashes the key on every call; it serves cold paths. A bump
+ * that runs once per crossing or per memory access goes through a
+ * Counter handle instead, which resolves its key once (DESIGN.md §17).
  */
 class StatGroup
 {
   public:
+    /**
+     * A handle to one counter of a group. The key's slot is looked up on
+     * the first inc() or set(), so the key appears in dump() exactly when
+     * StatGroup::inc(key) would have created it; later bumps are a
+     * single add. The handle and inc(key)/get(key) share one value, and
+     * reset() keeps the slot. The group must outlive the handle.
+     */
+    class Counter
+    {
+      public:
+        Counter(StatGroup &group, std::string key)
+            : _group(&group), _key(std::move(key))
+        {}
+
+        void inc(std::uint64_t delta = 1) { slot() += delta; }
+        void set(std::uint64_t v) { slot() = v; }
+
+      private:
+        std::uint64_t &
+        slot()
+        {
+            // Map nodes never move and no key is ever erased, so the
+            // resolved pointer stays valid for the group's lifetime.
+            if (!_slot)
+                _slot = &_group->_counters[_key];
+            return *_slot;
+        }
+
+        StatGroup *_group;
+        std::string _key;
+        std::uint64_t *_slot = nullptr;
+    };
+
     explicit StatGroup(std::string name) : _name(std::move(name)) {}
+    // Counter handles point into the group, so it never moves.
+    StatGroup(const StatGroup &) = delete;
+    StatGroup &operator=(const StatGroup &) = delete;
 
     /** Group name used as a prefix when dumping. */
     const std::string &name() const { return _name; }

@@ -1,8 +1,10 @@
 /**
  * @file
- * Unit tests for migration descriptors: wire-format round trips and the
+ * Unit tests for migration descriptors: wire-format round trips, the
  * integrity fields (sequence number, CRC-64 checksum) receivers use to
- * reject corrupted bursts.
+ * reject corrupted bursts, and the CRC itself pinned against a bitwise
+ * reference and known answers (the self-consistency tests alone would
+ * pass a wrong but consistent table).
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +16,76 @@ namespace flick
 {
 namespace
 {
+
+/**
+ * Reference CRC-64/ECMA-182: MSB first, polynomial 0x42f0e1eba9ea3693,
+ * init 0, no final xor, one bit at a time. The descriptor's table-driven
+ * CRC must agree with it on every input.
+ */
+std::uint64_t
+referenceCrc64(const std::uint8_t *p, std::size_t len)
+{
+    constexpr std::uint64_t poly = 0x42f0e1eba9ea3693ull;
+    std::uint64_t crc = 0;
+    for (std::size_t i = 0; i < len; ++i) {
+        crc ^= std::uint64_t(p[i]) << 56;
+        for (int b = 0; b < 8; ++b)
+            crc = (crc & (1ull << 63)) ? (crc << 1) ^ poly : crc << 1;
+    }
+    return crc;
+}
+
+TEST(DescriptorCrc, ReferenceGivesStandardCheckValue)
+{
+    const char *check = "123456789";
+    EXPECT_EQ(referenceCrc64(reinterpret_cast<const std::uint8_t *>(check),
+                             9),
+              0x6c40df5f0b497347ull);
+}
+
+TEST(DescriptorCrc, KnownAnswerForCountingImage)
+{
+    MigrationDescriptor::Wire w{};
+    for (unsigned i = 0; i < w.size(); ++i)
+        w[i] = static_cast<std::uint8_t>(i);
+    EXPECT_EQ(MigrationDescriptor::wireChecksum(w), 0xdf2eec1d3c0702e4ull);
+    EXPECT_EQ(referenceCrc64(w.data(), MigrationDescriptor::checksummedBytes),
+              0xdf2eec1d3c0702e4ull);
+}
+
+TEST(DescriptorCrc, TableMatchesReferenceOnRandomImages)
+{
+    Rng rng(0xc4c64);
+    MigrationDescriptor::Wire w{};
+    for (int trial = 0; trial < 10000; ++trial) {
+        for (auto &b : w)
+            b = static_cast<std::uint8_t>(rng.next());
+        ASSERT_EQ(MigrationDescriptor::wireChecksum(w),
+                  referenceCrc64(w.data(),
+                                 MigrationDescriptor::checksummedBytes))
+            << "trial " << trial;
+    }
+}
+
+/**
+ * The checksum covers the bytes, not their meaning: a sender can emit a
+ * CRC-valid image whose argument count overruns args[] or whose kind
+ * no receiver knows. wireIntact() is the receivers' only gate, so it
+ * must reject both; the slot is then NAKed and replayed.
+ */
+TEST(Descriptor, OutOfRangeFieldsAreNotIntact)
+{
+    MigrationDescriptor d;
+    d.kind = DescriptorKind::hostToNxpCall;
+    d.nargs = 200;
+    EXPECT_FALSE(MigrationDescriptor::wireIntact(d.toWire()));
+    d.nargs = MigrationDescriptor::maxArgs;
+    EXPECT_TRUE(MigrationDescriptor::wireIntact(d.toWire()));
+    d.kind = static_cast<DescriptorKind>(9);
+    EXPECT_FALSE(MigrationDescriptor::wireIntact(d.toWire()));
+    d.kind = DescriptorKind::nxpToHostReturn;
+    EXPECT_TRUE(MigrationDescriptor::wireIntact(d.toWire()));
+}
 
 TEST(Descriptor, WireSizeMatchesBurst)
 {
@@ -152,9 +224,11 @@ TEST(Descriptor, DefaultIsInvalid)
     MigrationDescriptor d;
     EXPECT_EQ(d.kind, DescriptorKind::invalid);
     auto w = d.toWire();
-    // An all-defaults descriptor serializes as zeroes.
+    // An all-defaults descriptor serializes as zeroes, which is an
+    // intact image of kind invalid (an untouched mailbox slot).
     for (std::uint8_t b : w)
         EXPECT_EQ(b, 0u);
+    EXPECT_TRUE(MigrationDescriptor::wireIntact(w));
 }
 
 } // namespace
