@@ -9,8 +9,8 @@ namespace flick
 void
 StatGroup::dump(std::ostream &os) const
 {
-    // The backing store is a hash map (fast inc() on the protocol hot
-    // path); sort at dump time so the report is deterministic.
+    // The backing store is a hash map (Counter handles point into its
+    // stable nodes); sort at dump time so the report is deterministic.
     std::vector<const std::pair<const std::string, std::uint64_t> *> rows;
     rows.reserve(_counters.size());
     for (const auto &kv : _counters)
