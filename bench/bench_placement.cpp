@@ -25,9 +25,9 @@
  * --workload=sharded (DESIGN.md §15, EXPERIMENTS.md) switches to the
  * NUMA-sharded data-residency study instead: per-device data shards
  * plus host-resident gather regions, swept over words-per-call under
- * queue-depth-only, residency-aware, and residency-aware + page
- * migration placement — the Fig. 5-style accesses-per-migration
- * crossover, at page rather than thread granularity.
+ * queue-depth-only and residency-aware placement — the Fig. 5-style
+ * accesses-per-migration crossover, at page rather than thread
+ * granularity.
  *
  * Flags: --threads=N (default 8), --batches=N (default 6),
  * --hot-rounds=N (default 2000), --devices=N (default 2, any count),
@@ -250,7 +250,6 @@ enum class ShardedMode
 {
     queueDepth,  //!< least-loaded: blind to where the data lives.
     residency,   //!< residency-aware placement, counters on.
-    migration,   //!< residency-aware + hot-page migration.
 };
 
 const char *
@@ -259,7 +258,6 @@ shardedModeName(ShardedMode m)
     switch (m) {
       case ShardedMode::queueDepth: return "queue-depth-only";
       case ShardedMode::residency: return "residency-aware";
-      case ShardedMode::migration: return "residency+migration";
     }
     return "?";
 }
@@ -268,7 +266,6 @@ struct ShardedResult
 {
     double callsPerSec = 0;
     std::vector<std::uint64_t> devCalls;
-    std::uint64_t migrations = 0;
     std::uint64_t trackedAccesses = 0;
 };
 
@@ -276,9 +273,9 @@ struct ShardedResult
  * One sharded run: a sum shard per device, resident in that device's
  * DRAM, hit by hint-free shard_sum calls the policy must place; plus a
  * host-resident gather region per thread, hit by shard_gather calls
- * pinned (hinted) to thread%devices — identical traffic in every mode,
- * so the only way to speed gathers up is to move their pages. @p words
- * is the working set each call reads: the accesses-per-migration knob.
+ * pinned (hinted) to thread%devices — identical traffic in every mode.
+ * @p words is the working set each call reads: the
+ * accesses-per-migration knob.
  */
 ShardedResult
 runSharded(ShardedMode mode, const Params &p, std::uint64_t words)
@@ -289,8 +286,6 @@ runSharded(ShardedMode mode, const Params &p, std::uint64_t words)
     else
         cfg.withPlacement(PlacementKind::residencyAware)
             .withResidencyTracking();
-    if (mode == ShardedMode::migration)
-        cfg.withPageMigration();
     FlickSystem sys(cfg);
     Program prog;
     workloads::addShardedKernels(prog, p.devices);
@@ -306,21 +301,20 @@ runSharded(ShardedMode mode, const Params &p, std::uint64_t words)
     std::vector<VAddr> shard(nshards);
     std::vector<std::uint64_t> ssum(nshards);
     for (unsigned s = 0; s < nshards; ++s) {
-        shard[s] = sys.migratableMalloc(proc, words * 8, (int)(s + 1));
+        shard[s] = sys.nxpMalloc(words * 8, 4096, s + 1);
         for (std::uint64_t i = 0; i < words; ++i)
             sys.writeVa(proc, shard[s] + i * 8, workloads::shardWord(s, i));
         ssum[s] = workloads::shardSumRef(s, 0, words);
     }
 
-    // Gather regions: one per thread, starting host-resident. The
-    // kernel has no host twin, so every call pays bridge reads until
-    // (mode == migration) the pages follow their accessor.
+    // Gather regions: one per thread, host-resident. The kernel has no
+    // host twin, so every call pays bridge reads.
     std::vector<Task *> tasks;
     std::vector<VAddr> gat(p.threads);
     std::vector<std::uint64_t> gsum(p.threads);
     for (unsigned i = 0; i < p.threads; ++i) {
         tasks.push_back(&sys.spawnThread(proc));
-        gat[i] = sys.migratableMalloc(proc, words * 8, -1);
+        gat[i] = sys.hostMalloc(proc, words * 8, 4096);
         for (std::uint64_t j = 0; j < words; ++j)
             sys.writeVa(proc, gat[i] + j * 8,
                         workloads::shardWord(100 + i, j));
@@ -339,8 +333,7 @@ runSharded(ShardedMode mode, const Params &p, std::uint64_t words)
         for (unsigned i = 0; i < p.threads; ++i) {
             // The shard a sum call reads rotates per batch, so a policy
             // that ignores data placement keeps landing calls on the
-            // wrong device; gather pinning stays fixed per thread so
-            // its pages have a stable dominant accessor.
+            // wrong device; gather pinning stays fixed per thread.
             unsigned s = (i + b) % nshards;
             if ((b + i) % 2 == 0) {
                 futs.push_back(sys.submit(
@@ -381,8 +374,6 @@ runSharded(ShardedMode mode, const Params &p, std::uint64_t words)
     for (unsigned d = 0; d < p.devices; ++d)
         r.devCalls.push_back(
             st.get(strfmt("host_to_nxp_calls_dev%u", d)));
-    if (auto *m = sys.debug().migrator())
-        r.migrations = m->stats().get("migrations");
     if (auto *t = sys.debug().residency()) {
         t->syncStats();
         r.trackedAccesses = t->stats().get("accesses");
@@ -390,7 +381,7 @@ runSharded(ShardedMode mode, const Params &p, std::uint64_t words)
     return r;
 }
 
-/** The sharded study: sweep words/call across the three modes. */
+/** The sharded study: sweep words/call across both modes. */
 int
 runShardedStudy(const Params &p, bool smoke, const std::string &json)
 {
@@ -401,8 +392,7 @@ runShardedStudy(const Params &p, bool smoke, const std::string &json)
         sweep = {4, 16, 32, 64, 128};
 
     const ShardedMode modes[] = {ShardedMode::queueDepth,
-                                 ShardedMode::residency,
-                                 ShardedMode::migration};
+                                 ShardedMode::residency};
     std::vector<std::vector<ShardedResult>> res; // [sweep][mode]
     std::vector<std::vector<std::string>> rows;
     for (std::uint64_t w : sweep) {
@@ -414,17 +404,13 @@ runShardedStudy(const Params &p, bool smoke, const std::string &json)
             {strfmt("%llu", (unsigned long long)w),
              strfmt("%.0f", r[0].callsPerSec),
              strfmt("%.0f", r[1].callsPerSec),
-             strfmt("%.0f", r[2].callsPerSec),
-             fmtX(r[1].callsPerSec / r[0].callsPerSec),
-             fmtX(r[2].callsPerSec / r[1].callsPerSec),
-             strfmt("%llu", (unsigned long long)r[2].migrations)});
+             fmtX(r[1].callsPerSec / r[0].callsPerSec)});
     }
     printTable(
         strfmt("Sharded residency study: %u threads x %u batches, %u "
                "device(s)",
                p.threads, p.batches, p.devices),
-        {"Words/call", "queue-depth c/s", "residency c/s",
-         "+migration c/s", "res/qd", "mig/res", "migrations"},
+        {"Words/call", "queue-depth c/s", "residency c/s", "res/qd"},
         rows);
 
     if (!json.empty()) {
@@ -438,18 +424,18 @@ runShardedStudy(const Params &p, bool smoke, const std::string &json)
            << ", \"devices\": " << p.devices << ",\n  \"points\": [";
         for (std::size_t i = 0; i < sweep.size(); ++i) {
             os << (i ? "," : "") << "\n    {\"words\": " << sweep[i];
-            for (int m = 0; m < 3; ++m)
+            for (int m = 0; m < 2; ++m)
                 os << ", \"" << shardedModeName(modes[m])
                    << "\": " << res[i][m].callsPerSec;
-            os << ", \"migrations\": " << res[i][2].migrations << "}";
+            os << "}";
         }
         os << "\n  ]\n}\n";
         std::printf("wrote %s\n", json.c_str());
     }
 
-    // Gates (on the largest point, where localization matters most):
-    // residency-aware placement must beat queue-depth-only, migration
-    // must improve on that, and the passive modes must never migrate.
+    // Gates: on the largest point, where localization matters most,
+    // residency-aware placement must beat queue-depth-only; and the
+    // residency counters must count only when tracking is on.
     bool ok = true;
     const auto &last = res.back();
     if (last[1].callsPerSec <= last[0].callsPerSec) {
@@ -459,24 +445,7 @@ runShardedStudy(const Params &p, bool smoke, const std::string &json)
                      last[1].callsPerSec, last[0].callsPerSec);
         ok = false;
     }
-    if (last[2].callsPerSec <= last[1].callsPerSec) {
-        std::fprintf(stderr,
-                     "FAIL: migration (%.0f c/s) did not improve on "
-                     "residency-aware placement (%.0f c/s)\n",
-                     last[2].callsPerSec, last[1].callsPerSec);
-        ok = false;
-    }
-    if (!last[2].migrations) {
-        std::fprintf(stderr, "FAIL: migration mode never migrated "
-                             "a page\n");
-        ok = false;
-    }
     for (const auto &point : res) {
-        if (point[0].migrations || point[1].migrations) {
-            std::fprintf(stderr, "FAIL: migrations counted in a "
-                                 "migration-less mode\n");
-            ok = false;
-        }
         if (point[0].trackedAccesses) {
             std::fprintf(stderr, "FAIL: residency counters nonzero "
                                  "with tracking off\n");

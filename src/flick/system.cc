@@ -29,13 +29,12 @@ hostCoreParams(const TimingConfig &t, bool decode_cache)
 }
 
 CoreParams
-nxpCoreParams(const TimingConfig &t, unsigned device = 0,
-              std::uint64_t freq_hz = 0, bool decode_cache = true)
+nxpCoreParams(const TimingConfig &t, unsigned device, bool decode_cache)
 {
     CoreParams p;
     p.name = device == 0 ? "nxp" : "nxp" + std::to_string(device + 1);
     p.requester = nxpCoreRequester(device);
-    p.freqHz = freq_hz ? freq_hz : t.nxpFreqHz;
+    p.freqHz = t.nxpFreqHz;
     p.itlbEntries = t.nxpItlbEntries;
     p.dtlbEntries = t.nxpDtlbEntries;
     p.walkOverhead = t.nxpMmuWalkOverhead;
@@ -53,9 +52,7 @@ nxpCoreParams(const TimingConfig &t, unsigned device = 0,
 FlickSystem::NxpDevice::NxpDevice(const SystemConfig &config, unsigned id,
                                   MemSystem &mem, EventQueue &events,
                                   IrqController &irq)
-    : core(nxpCoreParams(config.timing, id, config.deviceFrequency(id),
-                         config.decodeCache),
-           mem),
+    : core(nxpCoreParams(config.timing, id, config.decodeCache), mem),
       platform(mem, id),
       dma(events, mem, &irq, id),
       windowHeap(core.name() + "_window",
@@ -142,8 +139,7 @@ FlickSystem::FlickSystem(SystemConfig config)
         Addr staging = _hostAlloc.allocate(ring_bytes);
         Addr inbox = _hostAlloc.allocate(ring_bytes);
         _engine->addNxpDevice(dev->core, dev->platform, dev->dma,
-                              dev->windowHeap, staging, inbox, k, slots,
-                              _config.deviceFrequency(k));
+                              dev->windowHeap, staging, inbox, k, slots);
         _devices.push_back(std::move(dev));
     }
     _engine->setNxpStackBytes(_config.nxpStackBytes);
@@ -165,28 +161,12 @@ FlickSystem::FlickSystem(SystemConfig config)
 
     // Data residency layer (DESIGN.md §15). The tracker is passive —
     // with it absent the MemSystem counting branch never runs and no
-    // flick.residency.* counters exist; the migrator additionally
-    // schedules scan events, so it is gated separately.
-    if (_config.residencyTracking || _config.migration.enabled) {
+    // flick.residency.* counters exist.
+    if (_config.residencyTracking) {
         _residencyTracker = std::make_unique<ResidencyTracker>(
             _config.platform.nxpDeviceCount);
         _mem.setResidencyTracker(_residencyTracker.get());
         _engine->setResidencyTracker(_residencyTracker.get());
-    }
-    if (_config.migration.enabled) {
-        MigrationConfig mcfg = _config.migration;
-        mcfg.enabled = true;
-        _migrator = std::make_unique<PageMigrator>(
-            _events, _mem, _ptm, *_residencyTracker, _hostAlloc, mcfg);
-        for (auto &dev : _devices)
-            _migrator->addDevice(&dev->dma, &dev->windowHeap);
-        _migrator->addMmu(&_hostCore.mmu());
-        for (auto &dev : _devices)
-            _migrator->addMmu(&dev->core.mmu());
-        // The write-listener fan-out doubles as the migrator's dirty
-        // detector while a page copy is in flight (DESIGN.md §13/§15).
-        _mem.addDecodeSink(_migrator.get());
-        _migrator->start();
     }
 }
 
@@ -385,45 +365,6 @@ FlickSystem::hostMalloc(Process &process, std::uint64_t bytes,
     return process.hostHeap->allocate(bytes, align);
 }
 
-VAddr
-FlickSystem::migratableMalloc(Process &process, std::uint64_t bytes,
-                              int device)
-{
-    if (device >= static_cast<int>(_config.platform.nxpDeviceCount))
-        fatal("migratableMalloc: no NxP device %d", device);
-    if (!process.migratableHeap) {
-        static_assert(layout::hostHeapBase < layout::migratableBase,
-                      "migratable region must sit above the host heap");
-        if (process.image.hostHeapBase + process.image.hostHeapBytes >
-            layout::migratableBase)
-            fatal("host heap overlaps the migratable region");
-        process.migratableHeap = std::make_unique<RegionHeap>(
-            "migratable", layout::migratableBase, layout::migratableBytes);
-    }
-    // Whole pages: the PageMigrator remaps at 4K granularity, so a block
-    // never shares a frame with an unrelated allocation.
-    bytes = (bytes + 4095) & ~std::uint64_t(4095);
-    VAddr va = process.migratableHeap->allocate(bytes, 4096);
-    for (VAddr page = va; page < va + bytes; page += 4096) {
-        Addr pa;
-        if (device < 0) {
-            pa = _hostAlloc.allocate(4096);
-        } else {
-            // Frames come from the device's window heap (BAR-visible
-            // local DRAM), like the engine's NxP stacks.
-            VAddr win = nxpDevice(static_cast<unsigned>(device))
-                            .windowHeap.allocate(4096, 4096);
-            pa = _config.platform.barBase(device) +
-                 (win - layout::nxpWindowBaseFor(device));
-        }
-        _ptm.map(process.image.cr3, page, pa, 4096, PageSize::size4K,
-                 pte::user | pte::writable | pte::noExecute);
-    }
-    if (_migrator)
-        _migrator->manage(process.image.cr3, va, bytes);
-    return va;
-}
-
 Addr
 FlickSystem::translateDebug(const Process &process, VAddr va) const
 {
@@ -557,8 +498,6 @@ FlickSystem::dumpStats(std::ostream &os)
         _residencyTracker->syncStats();
         _residencyTracker->stats().dump(os);
     }
-    if (_migrator)
-        _migrator->stats().dump(os);
     if (_tracer.on())
         _tracer.dumpBreakdown(os);
 }

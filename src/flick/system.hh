@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "flick/heap.hh"
-#include "flick/migrator.hh"
 #include "flick/native.hh"
 #include "flick/nxp_platform.hh"
 #include "flick/program.hh"
@@ -47,6 +46,7 @@
 #include "mem/dma.hh"
 #include "mem/irq.hh"
 #include "mem/mem_system.hh"
+#include "mem/residency.hh"
 #include "os/kernel.hh"
 #include "policy/policy.hh"
 #include "sim/chaos.hh"
@@ -125,13 +125,6 @@ struct SystemConfig
     /** A caller-supplied policy instance; overrides `placement`. */
     std::shared_ptr<PlacementPolicy> placementPolicy;
     /**
-     * Per-device core frequency overrides in Hz, indexed by device
-     * (0 / absent = timing.nxpFreqHz). A heterogeneous fabric — a fast
-     * near-NIC NxP next to slower near-storage ones — is configured by
-     * overriding individual devices.
-     */
-    std::vector<std::uint64_t> deviceFreqHz;
-    /**
      * Multi-tenant QoS and deadline-aware admission (DESIGN.md §14).
      * Each loaded process is a tenant keyed by its address space; with
      * qos.enabled the engine runs per-tenant in-flight budgets, bounded
@@ -150,39 +143,12 @@ struct SystemConfig
      * (tests/residency_test.cpp asserts both).
      */
     bool residencyTracking = false;
-    /**
-     * Hot-page migration between host and NxP DRAM (DESIGN.md §15).
-     * Implies residencyTracking. Unlike the passive counters, an
-     * enabled migrator schedules scan events, so enabling it
-     * legitimately perturbs the event stream.
-     */
-    MigrationConfig migration;
 
     /** Number of NxP devices in the platform (any N >= 1). */
     SystemConfig &
     withDevices(unsigned count)
     {
         platform.nxpDeviceCount = count;
-        return *this;
-    }
-
-    /** Override device @p device's core frequency (Hz). */
-    SystemConfig &
-    withDeviceFrequency(unsigned device, std::uint64_t hz)
-    {
-        if (deviceFreqHz.size() <= device)
-            deviceFreqHz.resize(device + 1, 0);
-        deviceFreqHz[device] = hz;
-        return *this;
-    }
-
-    /** Override device @p device's local DRAM size. */
-    SystemConfig &
-    withDeviceDramBytes(unsigned device, std::uint64_t bytes)
-    {
-        if (platform.deviceDramOverride.size() <= device)
-            platform.deviceDramOverride.resize(device + 1, 0);
-        platform.deviceDramOverride[device] = bytes;
         return *this;
     }
 
@@ -221,35 +187,6 @@ struct SystemConfig
     {
         residencyTracking = on;
         return *this;
-    }
-
-    /** Enable hot-page migration with default tunables. */
-    SystemConfig &
-    withPageMigration(bool on = true)
-    {
-        migration.enabled = on;
-        if (on)
-            residencyTracking = true;
-        return *this;
-    }
-
-    /** Enable hot-page migration with explicit tunables. */
-    SystemConfig &
-    withPageMigration(const MigrationConfig &cfg)
-    {
-        migration = cfg;
-        migration.enabled = true;
-        residencyTracking = true;
-        return *this;
-    }
-
-    /** Effective core frequency of device @p device. */
-    std::uint64_t
-    deviceFrequency(unsigned device) const
-    {
-        if (device < deviceFreqHz.size() && deviceFreqHz[device])
-            return deviceFreqHz[device];
-        return timing.nxpFreqHz;
     }
 
     SystemConfig &
@@ -365,9 +302,6 @@ struct Process
     LoadedProgram image;
     Task *task = nullptr;
     std::unique_ptr<RegionHeap> hostHeap;
-    /** 4K-mapped migration-eligible region; lazily created by
-     *  FlickSystem::migratableMalloc (DESIGN.md §15). */
-    std::unique_ptr<RegionHeap> migratableHeap;
     /** Where the next spawned thread's host stack will be carved. */
     VAddr nextThreadStackTop = 0;
 };
@@ -522,17 +456,6 @@ class FlickSystem
     VAddr hostMalloc(Process &process, std::uint64_t bytes,
                      std::uint64_t align = 16);
 
-    /**
-     * Allocate migration-eligible memory (DESIGN.md §15): a 4K-mapped
-     * region whose frames start in host DRAM (@p device = -1) or NxP
-     * device @p device's DRAM, and which the PageMigrator — when
-     * enabled — may move between DRAMs as residency shifts. Unlike the
-     * 1G-mapped NxP windows, every page here can be remapped
-     * individually.
-     */
-    VAddr migratableMalloc(Process &process, std::uint64_t bytes,
-                           int device = -1);
-
     // --- Untimed harness access to process memory ----------------------
 
     /** Read @p len (1..8) bytes at @p va in @p process (untimed). */
@@ -614,12 +537,6 @@ class FlickSystem
         {
             return sys->_residencyTracker.get();
         }
-        /** The page migrator; nullptr unless migration.enabled. */
-        PageMigrator *
-        migrator() const
-        {
-            return sys->_migrator.get();
-        }
         unsigned
         nxpDeviceCount() const
         {
@@ -648,7 +565,7 @@ class FlickSystem
         NxpPlatform platform;
         DmaEngine dma;
         /** Allocator over the device's BAR window past the reserved
-         *  mailbox area (nxpMalloc, NxP stacks, migratable frames). */
+         *  mailbox area (nxpMalloc, NxP stacks). */
         RegionHeap windowHeap;
     };
 
@@ -673,13 +590,12 @@ class FlickSystem
     Kernel _kernel;
     ProgramLoader _loader;
     NativeRegistry _natives;
-    // Declared before the engine and the migrator, which hold pointers
-    // into the devices, so the devices outlive both.
+    // Declared before the engine, which holds pointers into the
+    // devices, so the devices outlive it.
     std::vector<std::unique_ptr<NxpDevice>> _devices;
     std::unique_ptr<MigrationEngine> _engine;
     std::shared_ptr<PlacementPolicy> _placement;
     std::unique_ptr<ResidencyTracker> _residencyTracker;
-    std::unique_ptr<PageMigrator> _migrator;
     std::vector<std::unique_ptr<Process>> _processes;
 };
 

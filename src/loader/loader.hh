@@ -31,12 +31,6 @@ namespace layout
 {
 /** Base of the host heap region. */
 constexpr VAddr hostHeapBase = 0x20000000ull;
-/** Base of the migratable heap region (DESIGN.md §15): 4K-mapped data
- *  whose frames the PageMigrator may move between DRAMs at runtime. */
-constexpr VAddr migratableBase = 0x28000000ull;
-/** Size cap of the migratable heap region (keeps it clear of the
- *  native gates at 0x30000000). */
-constexpr std::uint64_t migratableBytes = 0x2000000ull;
 /** Native-function gate: host-ISA page. */
 constexpr VAddr nativeGateHost = 0x30000000ull;
 /** Native-function gate: NxP-ISA page. */

@@ -70,9 +70,6 @@ class DmaEngine
     /** True while a transfer is in flight. */
     bool busy() const { return _busy; }
 
-    /** Transfers queued behind the in-flight one (ring backpressure). */
-    std::size_t queuedTransfers() const { return _pending.size(); }
-
     /**
      * Attach the machine's chaos controller. When attached and enabled,
      * transfers may land with flipped payload bits and may be charged

@@ -263,7 +263,7 @@ MemSystem::touchResidency(Requester r, const Route &route)
     // Residency is about where computation touches data: count host-core
     // and NxP-core accesses to DRAM, skip DMA staging, MMU table walks
     // and the untimed debug back door, and skip control windows (they
-    // have no residency — nothing can migrate them).
+    // hold registers, not data).
     if (route.kind == Route::Kind::ctrlDev)
         return;
     unsigned store =

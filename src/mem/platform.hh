@@ -13,7 +13,6 @@
 #define FLICK_MEM_PLATFORM_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "mem/sparse_memory.hh"
 
@@ -64,19 +63,10 @@ struct PlatformConfig
     Addr bar2Base = 0x200000000ull;
     /** Host-side BAR spacing between consecutive devices beyond the first. */
     std::uint64_t barStride = 0x200000000ull;
-    /**
-     * Per-device local DRAM size overrides (0 / absent = default). Indexed
-     * by device; device 0 defaults to nxpDramBytes, later ones to
-     * nxp2DramBytes.
-     */
-    std::vector<std::uint64_t> deviceDramOverride;
-
     /** Local DRAM size of device @p device. */
     std::uint64_t
     deviceDramBytes(unsigned device) const
     {
-        if (device < deviceDramOverride.size() && deviceDramOverride[device])
-            return deviceDramOverride[device];
         return device == 0 ? nxpDramBytes : nxp2DramBytes;
     }
 

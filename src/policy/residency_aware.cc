@@ -1,5 +1,8 @@
 #include "policy/residency_aware.hh"
 
+#include <cstdint>
+#include <vector>
+
 #include "policy/least_loaded.hh"
 
 namespace flick
@@ -20,8 +23,22 @@ eligibleDevice(unsigned d, const PlacementQuery &query,
     return !view.load(d).quarantined;
 }
 
-} // namespace
+/** Access-weighted residency votes of a call's argument pages. */
+struct ResidencyVotes
+{
+    std::uint64_t host = 0;            //!< Votes for host DRAM.
+    std::vector<std::uint64_t> device; //!< Votes per NxP device.
+    std::uint64_t total = 0;           //!< host + every device's votes.
+};
 
+/**
+ * Tally the residency of the distinct pages @p args point at in address
+ * space @p cr3. Values below one page are lengths/flags, not pointers;
+ * at most 8 distinct pages are asked for their residency. A mapped page
+ * votes for its holder with weight 1 + its holder's access count, so a
+ * page that is merely *placed* somewhere still has a voice before any
+ * counter ticks (cold-start steering), while hot pages dominate.
+ */
 ResidencyVotes
 residencyVotes(Addr cr3, const std::vector<std::uint64_t> &args,
                const PlacementView &view)
@@ -58,6 +75,8 @@ residencyVotes(Addr cr3, const std::vector<std::uint64_t> &args,
         votes.total += v;
     return votes;
 }
+
+} // namespace
 
 PlacementDecision
 ResidencyAwarePlacement::place(const PlacementQuery &query,

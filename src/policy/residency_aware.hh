@@ -17,35 +17,11 @@
 #ifndef FLICK_POLICY_RESIDENCY_AWARE_HH
 #define FLICK_POLICY_RESIDENCY_AWARE_HH
 
-#include <cstdint>
-#include <vector>
-
 #include "policy/cost_model.hh"
 #include "policy/policy.hh"
 
 namespace flick
 {
-
-/** Access-weighted residency votes of a call's argument pages. */
-struct ResidencyVotes
-{
-    std::uint64_t host = 0;            //!< Votes for host DRAM.
-    std::vector<std::uint64_t> device; //!< Votes per NxP device.
-    std::uint64_t total = 0;           //!< host + every device's votes.
-};
-
-/**
- * Tally the residency of the distinct pages @p args point at in address
- * space @p cr3. Values below one page are lengths/flags, not pointers;
- * at most 8 distinct pages are asked for their residency. A mapped page
- * votes for its holder with weight 1 + its holder's access count, so a
- * page that is merely *placed* somewhere still has a voice before any
- * counter ticks (cold-start steering), while hot pages dominate. Each
- * caller applies its own selection rule to the tally.
- */
-ResidencyVotes residencyVotes(Addr cr3,
-                              const std::vector<std::uint64_t> &args,
-                              const PlacementView &view);
 
 class ResidencyAwarePlacement final : public PlacementPolicy
 {

@@ -173,28 +173,6 @@ PageTableManager::unmap(Addr cr3, VAddr va, std::uint64_t bytes)
     _mem.notifyMappingChange();
 }
 
-Addr
-PageTableManager::remap(Addr cr3, VAddr va, Addr new_pa)
-{
-    if (va % 4096 || new_pa % 4096)
-        panic("remap: unaligned va=%#llx new_pa=%#llx",
-              (unsigned long long)va, (unsigned long long)new_pa);
-    auto leaf = findLeaf(cr3, va);
-    if (!leaf)
-        panic("remap: va %#llx not mapped", (unsigned long long)va);
-    if (leaf->level != 0)
-        panic("remap: va %#llx mapped by a huge page; migration is 4K-only",
-              (unsigned long long)va);
-    Addr old_pa = pte::entryAddr(leaf->entry);
-    writeEntry(leaf->table, leaf->index,
-               (leaf->entry & ~pte::addrMask) | (new_pa & pte::addrMask));
-    // The same VA now resolves to a different frame; decoded-instruction
-    // caches key on the old frame's pages and must drop everything
-    // (DESIGN.md §15's invalidation obligations extend §13's).
-    _mem.notifyMappingChange();
-    return old_pa;
-}
-
 std::optional<DebugTranslation>
 PageTableManager::translate(Addr cr3, VAddr va) const
 {

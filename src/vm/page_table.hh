@@ -73,21 +73,6 @@ class PageTableManager
     /** Remove leaf mappings over [va, va+bytes); intermediate tables stay. */
     void unmap(Addr cr3, VAddr va, std::uint64_t bytes);
 
-    /**
-     * Repoint the 4K leaf for @p va at physical frame @p new_pa, keeping
-     * every flag bit (present/writable/ISA tag/NX) unchanged. This is the
-     * page-migration commit step (DESIGN.md §15): the caller must have
-     * copied the frame contents first and must flush all TLBs afterwards.
-     * Panics if @p va is unmapped or mapped by a huge page — migration
-     * operates on 4K granules only.
-     *
-     * Broadcasts notifyMappingChange() so decoded-instruction caches drop
-     * entries keyed on the old frame (same obligation as protect/unmap).
-     *
-     * @return Physical address of the old frame.
-     */
-    Addr remap(Addr cr3, VAddr va, Addr new_pa);
-
     /** Zero-latency walk for tests and the loader. */
     std::optional<DebugTranslation> translate(Addr cr3, VAddr va) const;
 

@@ -63,41 +63,4 @@ PhysAllocator::allocate(std::uint64_t bytes, std::uint64_t align)
           (unsigned long long)_size);
 }
 
-void
-PhysAllocator::free(Addr addr, std::uint64_t bytes)
-{
-    bytes = roundUp(bytes, 4096);
-    if (addr < _base || addr + bytes > _base + _size)
-        panic("PhysAllocator %s: free outside region %#llx+%#llx",
-              _name.c_str(), (unsigned long long)addr,
-              (unsigned long long)bytes);
-
-    auto next = _free.lower_bound(addr);
-    if (next != _free.end() && addr + bytes > next->first)
-        panic("PhysAllocator %s: double free at %#llx", _name.c_str(),
-              (unsigned long long)addr);
-    if (next != _free.begin()) {
-        auto prev = std::prev(next);
-        if (prev->first + prev->second > addr)
-            panic("PhysAllocator %s: double free at %#llx", _name.c_str(),
-                  (unsigned long long)addr);
-    }
-
-    _allocated -= bytes;
-    // Merge with successor.
-    if (next != _free.end() && next->first == addr + bytes) {
-        bytes += next->second;
-        next = _free.erase(next);
-    }
-    // Merge with predecessor.
-    if (next != _free.begin()) {
-        auto prev = std::prev(next);
-        if (prev->first + prev->second == addr) {
-            prev->second += bytes;
-            return;
-        }
-    }
-    _free[addr] = bytes;
-}
-
 } // namespace flick

@@ -43,9 +43,6 @@ class PhysAllocator
      */
     Addr allocate(std::uint64_t bytes, std::uint64_t align = 4096);
 
-    /** Return a block from allocate(); merges with free neighbours. */
-    void free(Addr addr, std::uint64_t bytes);
-
     /** Bytes currently allocated. */
     std::uint64_t allocatedBytes() const { return _allocated; }
 

@@ -49,8 +49,7 @@ nxpShardedTwin(unsigned k)
 }
 
 // Host-ISA twin of shard_sum only: shard_gather deliberately has none,
-// so its calls always run on an NxP and only migration can localize
-// host-resident data under them.
+// so its calls always run on an NxP, whichever DRAM holds their data.
 const char *hostShardedTwin = R"(
 # --- host-ISA twin (identical value, HX64) ---------------------------
 

@@ -3,9 +3,8 @@
  * The NUMA-sharded workload (DESIGN.md §15, EXPERIMENTS.md).
  *
  * A function family whose working set is split into per-device shards —
- * the data layout that makes residency-aware placement and hot-page
- * migration matter. Used by bench_placement --workload=sharded and the
- * residency tests:
+ * the data layout that makes residency-aware placement matter. Used by
+ * bench_placement --workload=sharded and the residency tests:
  *
  *   - shard_sum(ptr, words)    — sums a shard of 64-bit words; homed on
  *     device 0 with a "__dev<k>" twin per extra device AND a "__host"
@@ -13,10 +12,9 @@
  *     living in different NxP DRAMs, a queue-depth-only policy pays a
  *     peer crossing per word on most calls; a residency-aware policy
  *     steers each call to the device holding its shard.
- *   - shard_gather(ptr, words) — the same sum kernel against pages that
- *     start host-resident, with device twins but NO host twin: the call
- *     always runs on some NxP, so only page migration can localize the
- *     data it keeps re-reading across the bridge.
+ *   - shard_gather(ptr, words) — the same sum kernel with device twins
+ *     but NO host twin: the call always runs on some NxP, so data it
+ *     reads from host DRAM crosses the bridge on every word.
  *
  * Deterministic fill: word i of shard s is shardWord(s, i), so every
  * mode of the benchmark can verify its sums against shardSumRef().

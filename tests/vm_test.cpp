@@ -69,29 +69,6 @@ TEST(PhysAllocator, AlignedAllocation)
     EXPECT_EQ(alloc.allocatedBytes(), 4096u + 8192u);
 }
 
-TEST(PhysAllocator, FreeAndCoalesce)
-{
-    PhysAllocator alloc("t", 0, 1 << 20);
-    Addr a = alloc.allocate(4096);
-    Addr b = alloc.allocate(4096);
-    Addr c = alloc.allocate(4096);
-    alloc.free(a, 4096);
-    alloc.free(c, 4096);
-    alloc.free(b, 4096); // merges the middle
-    EXPECT_EQ(alloc.allocatedBytes(), 0u);
-    // After full coalescing the whole region is allocatable again.
-    Addr big = alloc.allocate(1 << 20);
-    EXPECT_EQ(big, 0u);
-}
-
-TEST(PhysAllocator, DoubleFreePanics)
-{
-    PhysAllocator alloc("t", 0, 1 << 20);
-    Addr a = alloc.allocate(4096);
-    alloc.free(a, 4096);
-    EXPECT_DEATH(alloc.free(a, 4096), "double free");
-}
-
 TEST(PhysAllocator, ExhaustionIsFatal)
 {
     PhysAllocator alloc("t", 0, 8192);
