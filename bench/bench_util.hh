@@ -12,8 +12,13 @@
 #ifndef FLICK_BENCH_BENCH_UTIL_HH
 #define FLICK_BENCH_BENCH_UTIL_HH
 
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "flick/system.hh"
@@ -113,16 +118,41 @@ measureNxpHostNxpUs(FlickSystem &sys, Process &proc, int calls)
     return ticksToUs(total - outer) / calls;
 }
 
-/** Parse "--name=value" style integer flags. */
-inline std::uint64_t
-flagValue(int argc, char **argv, const std::string &name,
-          std::uint64_t fallback)
+/**
+ * Parse a "--name=value" integer flag of type T (the type of
+ * @p fallback). The value must be a whole decimal number that fits in T
+ * and is at least @p lo; junk, a sign, overflow or a smaller value
+ * names the flag on stderr and exits with status 2.
+ */
+template <typename T>
+T
+flagValue(int argc, char **argv, const std::string &name, T fallback,
+          T lo = 0)
 {
+    static_assert(std::is_integral_v<T>, "integer flags only");
     std::string prefix = "--" + name + "=";
     for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind(prefix, 0) == 0)
-            return std::stoull(arg.substr(prefix.size()));
+        std::string_view arg = argv[i];
+        if (arg.rfind(prefix, 0) != 0)
+            continue;
+        std::string_view text = arg.substr(prefix.size());
+        std::uint64_t v = 0;
+        const char *end = text.data() + text.size();
+        auto [stop, ec] = std::from_chars(text.data(), end, v);
+        if (text.empty() || ec != std::errc() || stop != end ||
+            v > static_cast<std::uint64_t>(std::numeric_limits<T>::max()) ||
+            v < static_cast<std::uint64_t>(lo)) {
+            std::fprintf(stderr,
+                         "%s: bad value '%.*s' for --%s (want a whole "
+                         "number from %llu to %llu)\n",
+                         argv[0], static_cast<int>(text.size()),
+                         text.data(), name.c_str(),
+                         static_cast<unsigned long long>(lo),
+                         static_cast<unsigned long long>(
+                             std::numeric_limits<T>::max()));
+            std::exit(2);
+        }
+        return static_cast<T>(v);
     }
     return fallback;
 }

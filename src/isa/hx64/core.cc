@@ -611,10 +611,8 @@ Hx64Core::step()
             // (see Hx64Handlers), so a store that invalidates its own
             // page cannot clobber fields the dispatch still needs.
             ++_dcache->hits;
-            const Hx64Decoded &hit = *slot;
-            if (hit.len != 0)
-                chargeCycles(1);
-            return hit.fn(*this, hit, pc_va);
+            chargeCycles(cyclesOf(*slot));
+            return execute(*slot, pc_va);
         }
     }
 
@@ -630,12 +628,8 @@ Hx64Core::step()
             ++_dcache->fallbacks;
         }
     }
-
-    // The reference path charges the execute cycle only after a valid
-    // length is established (invalid opcodes fault uncharged).
-    if (d.len != 0)
-        chargeCycles(1);
-    return d.fn(*this, d, pc_va);
+    chargeCycles(cyclesOf(d));
+    return execute(d, pc_va);
 }
 
 } // namespace flick

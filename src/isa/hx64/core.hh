@@ -62,8 +62,25 @@ class Hx64Core : public Core
     Fault step() override;
 
   private:
-    friend class Core; // runLoop() calls step() statically.
+    friend class Core; // runLoop() calls these members statically.
     friend struct Hx64Handlers;
+
+    /** Any byte offset starts an instruction. */
+    static constexpr VAddr fetchAlign = 1;
+
+    /**
+     * Execute cycles of @p d. The reference path charges the cycle only
+     * after a valid length is established, so an invalid opcode (len 0)
+     * faults uncharged.
+     */
+    static std::uint64_t cyclesOf(const Hx64Decoded &d) { return d.len != 0; }
+
+    /** Run @p d's handler at @p pc_va (uncharged; see cyclesOf()). */
+    Fault
+    execute(const Hx64Decoded &d, VAddr pc_va)
+    {
+        return d.fn(*this, d, pc_va);
+    }
 
     /**
      * Decode the instruction at @p pc_va (physical @p pa) into @p out,

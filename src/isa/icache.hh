@@ -75,6 +75,18 @@ class ICache
         return false;
     }
 
+    /**
+     * Count @p n further hits on the line access() last touched, as
+     * @p n more calls to access() would (Core::runLoop's block dispatch
+     * publishes its same-line fetches here on exit).
+     */
+    void
+    countHits(std::uint64_t n)
+    {
+        if (_enabled)
+            _hits += n;
+    }
+
     /** Invalidate all lines (counts nothing when disabled). */
     void
     flush()

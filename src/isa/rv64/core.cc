@@ -655,8 +655,8 @@ Rv64Core::step()
             // (see Rv64Handlers), so a store that invalidates its own
             // page cannot clobber fields the dispatch still needs.
             ++_dcache->hits;
-            chargeCycles(1);
-            return slot->fn(*this, *slot);
+            chargeCycles(cyclesOf(*slot));
+            return execute(*slot, pc_va);
         }
     }
 
@@ -673,11 +673,8 @@ Rv64Core::step()
             ++_dcache->fallbacks;
         }
     }
-
-    // One cycle per instruction, illegal encodings included — exactly
-    // the reference path's charge order.
-    chargeCycles(1);
-    return d.fn(*this, d);
+    chargeCycles(cyclesOf(d));
+    return execute(d, pc_va);
 }
 
 } // namespace flick

@@ -71,8 +71,17 @@ class Rv64Core : public Core
     Fault step() override;
 
   private:
-    friend class Core; // runLoop() calls step() statically.
+    friend class Core; // runLoop() calls these members statically.
     friend struct Rv64Handlers;
+
+    /** Instruction alignment; runLoop()'s blocks leave others to step(). */
+    static constexpr VAddr fetchAlign = 4;
+
+    /** Execute cycles of @p d: one, illegal encodings included. */
+    static std::uint64_t cyclesOf(const Rv64Decoded &) { return 1; }
+
+    /** Run @p d's handler (uncharged; see cyclesOf()). */
+    Fault execute(const Rv64Decoded &d, VAddr) { return d.fn(*this, d); }
 
     /** Handler implementing @p op. */
     static Rv64Handler handlerFor(Rv64Op op);

@@ -144,6 +144,35 @@ class Mmu
         return translateSlow(va, type);
     }
 
+    /**
+     * Block-entry check for Core::runLoop: true when every fetch from
+     * the 4 KiB page at @p page would take translate()'s last-hit path
+     * with the same outcome — no hole overlaps the page, the iTLB's
+     * last-hit entry covers it, fetch is permitted and the BAR remap
+     * moves the whole page alike. Then @p pa is the page's physical
+     * base. The answer holds until the iTLB's epoch() moves; holes
+     * change only between run() slices.
+     */
+    bool
+    fetchPage(VAddr page, Addr &pa) const
+    {
+        for (const Hole &h : _holes) {
+            if (page < h.va + h.size && h.va < page + 4096)
+                return false;
+        }
+        const TlbEntry *e = _itlb.lastHit();
+        if (!e || !e->valid || page < e->vbase ||
+            page + 4096 > e->vbase + e->granule ||
+            permissionCheck(e->flags, AccessType::fetch) != Fault::none) {
+            return false;
+        }
+        Addr raw = e->pbase + (page - e->vbase);
+        if (!_itlb.remapUniform(raw))
+            return false;
+        pa = _itlb.applyRemap(raw);
+        return true;
+    }
+
     Tlb &itlb() { return _itlb; }
     Tlb &dtlb() { return _dtlb; }
     PageTableWalker &walker() { return _walker; }

@@ -62,6 +62,7 @@ Tlb::invalidateSlot(unsigned slot)
     _index.erase(key(e.vbase, g));
     --_granCount[g];
     e.valid = false;
+    ++_epoch;
     if (_last == &e)
         _last = nullptr;
     _freeSlots.push_back(slot);
@@ -108,6 +109,7 @@ Tlb::insert(VAddr vbase, Addr pbase, std::uint64_t granule,
     e.flags = flags;
     e.lastUse = ++_useClock;
     ++_fills;
+    ++_epoch;
 }
 
 void

@@ -82,6 +82,33 @@ class Tlb
     }
 
     /**
+     * Count @p n further lookupLastHit() hits on the last-hit entry at
+     * once, exactly as @p n separate calls would: Core::runLoop's block
+     * dispatch counts its fetches and publishes them here on exit. If
+     * the entry was invalidated meanwhile, only the counters move (an
+     * invalid slot's stamp is overwritten before it is ever read).
+     */
+    void
+    countLastHits(std::uint64_t n)
+    {
+        if (n == 0)
+            return;
+        _useClock += n;
+        _hits += n;
+        if (_last)
+            _last->lastUse = _useClock;
+    }
+
+    /** The most recently hit entry, without touching LRU or stats. */
+    const TlbEntry *lastHit() const { return _last; }
+
+    /**
+     * Bumped by every insert, invalidation and setBarRemap(): a caller
+     * that memoized a translation drops it when this moves.
+     */
+    std::uint64_t epoch() const { return _epoch; }
+
+    /**
      * Inspect the entry covering @p va without touching LRU state or
      * statistics (used by kernel code reading cached PTE bits, e.g. the
      * ISA tag in the fault path).
@@ -109,6 +136,7 @@ class Tlb
         _remapBase = bar_base;
         _remapSize = size;
         _remapOffset = offset;
+        ++_epoch;
     }
 
     /** Apply the remap stage to a translated physical address. */
@@ -120,6 +148,15 @@ class Tlb
             return pa - _remapOffset;
         }
         return pa;
+    }
+
+    /** True when applyRemap() moves all of [pa, pa + 4096) alike. */
+    bool
+    remapUniform(Addr pa) const
+    {
+        Addr end = _remapBase + _remapSize;
+        return _remapSize == 0 || pa + 4096 <= _remapBase || pa >= end ||
+               (pa >= _remapBase && pa + 4096 <= end);
     }
 
     /**
@@ -159,6 +196,7 @@ class Tlb
     std::array<std::uint32_t, 3> _granCount{};
     TlbEntry *_last = nullptr;
     std::uint64_t _useClock = 0;
+    std::uint64_t _epoch = 0;
     Addr _remapBase = 0;
     std::uint64_t _remapSize = 0;
     Addr _remapOffset = 0;
