@@ -475,10 +475,11 @@ main(int argc, char **argv)
         p.batches = 3;
         p.hotRounds = 600;
     }
-    p.threads = (unsigned)flagValue(argc, argv, "threads", p.threads);
-    p.batches = (unsigned)flagValue(argc, argv, "batches", p.batches);
+    // Zero threads or batches leaves nothing to place.
+    p.threads = flagValue(argc, argv, "threads", p.threads, 1u);
+    p.batches = flagValue(argc, argv, "batches", p.batches, 1u);
     p.hotRounds = flagValue(argc, argv, "hot-rounds", p.hotRounds);
-    p.devices = (unsigned)flagValue(argc, argv, "devices", p.devices);
+    p.devices = flagValue(argc, argv, "devices", p.devices);
     if (p.devices == 0) {
         std::fprintf(stderr, "FAIL: --devices must be >= 1\n");
         return 1;

@@ -2,7 +2,8 @@
 # Full verification sweep: docs-drift guards keeping DESIGN.md's
 # configuration table, counter reference and trace-point table in sync
 # with the code, the full test suite in the default build, the Table III
-# breakdown's exact-attribution gate, the benches' smoke gates, and
+# breakdown's exact-attribution gate, the interpreter bench's >= 5x
+# speedup gate, the other benches' smoke gates, and
 # the whole test suite again in a Debug ASan+UBSan build with leak
 # checking on (lifetime bugs in the event-driven engine's continuation
 # chains, leaks of still-pending events, and undefined behaviour in the
@@ -148,8 +149,8 @@ echo "== Table III breakdown (fails unless phase sums equal end-to-end) =="
 ./build/bench/bench_table3_breakdown
 
 echo
-echo "== interp bench, smoke mode (cached vs reference identity) =="
-./build/bench/bench_interp --smoke
+echo "== interp bench (cached vs reference identity, >= 5x speedup) =="
+./build/bench/bench_interp
 
 echo
 echo "== placement bench, smoke mode =="
@@ -171,12 +172,15 @@ echo
 echo "== debug + asan/ubsan build, full test suite with leak checking =="
 cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=Debug -DFLICK_SANITIZE=address,undefined >/dev/null
-# The test executables plus flick_run and protocol_trace, whose ctest
-# entries are part of the suite; the benches are not needed here.
+# The test executables plus flick_run, protocol_trace and the benches
+# whose flag-rejection ctest entries are part of the suite; the other
+# benches are not needed here.
 test_targets=$(grep -oE '^flick_test\([a-z_0-9]+' tests/CMakeLists.txt |
                cut -d'(' -f2)
-cmake --build build-asan -j "$jobs" --target $test_targets flick_run \
-    protocol_trace
+bench_targets=$(grep -oE '^flick_bench_rejects\([a-z_0-9]+' \
+                    bench/CMakeLists.txt | cut -d'(' -f2 | sort -u)
+cmake --build build-asan -j "$jobs" --target $test_targets $bench_targets \
+    flick_run protocol_trace
 ASAN_OPTIONS=detect_leaks=1 \
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir build-asan --output-on-failure -j "$jobs"
