@@ -369,6 +369,8 @@ class Core
      * page's entry base is memoized per physical text page: steady-state
      * fetches cost one compare and one indexed load. Invalidations clear
      * entries in place, so a memoized base simply reads back empty.
+     * Every page the cache holds is watched, so that stores to it reach
+     * the cache (MemSystem::watchPage).
      */
     template <typename CacheT>
     auto
@@ -377,7 +379,10 @@ class Core
         Addr page = pa & ~Addr(4095);
         if (page != _slotPage) {
             _slotPage = page;
-            _slotBase = cache.pageBase(_mem.canonicalPageKey(_requester, pa));
+            const std::uint64_t key = _mem.canonicalPageKey(_requester, pa);
+            _slotBase = cache.pageBase(key);
+            if (_slotBase)
+                _mem.watchPage(key);
         }
         auto *base = static_cast<decltype(cache.pageBase(0))>(_slotBase);
         return base ? base + ((pa & 4095) >> CacheT::shift) : nullptr;

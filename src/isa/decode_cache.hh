@@ -71,18 +71,6 @@ class DecodeCache : public DecodeCacheBase
         return _pages[key].entries.data();
     }
 
-    /**
-     * Slot for the instruction at physical address @p pa on the page
-     * named @p key, or nullptr when the page is uncacheable (noPageKey).
-     * The slot's entry is empty (null handler) until the caller fills it.
-     */
-    EntryT *
-    slot(std::uint64_t key, Addr pa)
-    {
-        EntryT *base = pageBase(key);
-        return base ? base + ((pa & 4095) >> entryShift) : nullptr;
-    }
-
     void
     invalidatePage(std::uint64_t key) override
     {

@@ -267,6 +267,12 @@ struct Hx64Handlers
     static Fault
     jcc(Hx64Core &c, const D &d, VAddr pc_va)
     {
+        // A condition byte above ccA names no condition: the instruction
+        // is illegal, as an unknown syscall number is.
+        if (d.aux > ccA) {
+            c.setFaultVa(pc_va);
+            return Fault::illegalInstr;
+        }
         VAddr next_pc = pc_va + d.len;
         c.setPc(c.evalCond(d.aux) ? next_pc + d.imm : next_pc);
         return Fault::none;

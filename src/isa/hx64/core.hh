@@ -99,6 +99,7 @@ class Hx64Core : public Core
     std::uint64_t debugReadVa(VAddr va);
     void debugWriteVa(VAddr va, std::uint64_t v);
 
+    /** Evaluate condition @p cc (at most ccA; jcc faults on others). */
     bool evalCond(std::uint8_t cc) const;
 
     std::array<std::uint64_t, 16> _regs;

@@ -21,6 +21,13 @@ devStatName(unsigned device)
     return device == 0 ? "nxp" : "nxp" + std::to_string(device + 1);
 }
 
+/** The low @p len (at most 8) bytes of @p v: what a byte copy keeps. */
+std::uint64_t
+lowBytes(std::uint64_t v, unsigned len)
+{
+    return len == 8 ? v : v & ((std::uint64_t(1) << (8 * len)) - 1);
+}
+
 } // namespace
 
 const char *
@@ -87,9 +94,10 @@ MemSystem::MemSystem(const TimingConfig &timing,
         _routeWrites.emplace_back(_stats, route + "_writes");
     }
 
-    // Every mutation of a backing store — routed or back-door — reaches
-    // the registered decode sinks so stale predecoded text cannot
-    // survive a write (DESIGN.md §13).
+    // Every mutation of a watched page of a backing store — routed or
+    // back-door — reaches the registered decode sinks so stale
+    // predecoded text cannot survive a write (DESIGN.md §13). The
+    // watched pages are the ones some decode cache holds (watchPage).
     _hostDram.setWriteListener([this](Addr off, std::uint64_t len) {
         notifyStoreWrite(0, off, len);
     });
@@ -128,6 +136,14 @@ MemSystem::canonicalPageKey(Requester r, Addr pa) const
     if (p.inBarDram(pa, dev) && dev != from)
         return pageKey(1 + dev, pa - p.barBase(dev));
     return noPageKey;
+}
+
+void
+MemSystem::watchPage(std::uint64_t key)
+{
+    const unsigned store = static_cast<unsigned>(key >> 52);
+    const Addr offset = (key & ((std::uint64_t(1) << 52) - 1)) << 12;
+    (store == 0 ? _hostDram : nxpDram(store - 1)).watch(offset);
 }
 
 void
@@ -275,94 +291,96 @@ MemSystem::touchResidency(Requester r, const Route &route)
         _residency->touch(key, 1 + nxpRequesterDevice(r));
 }
 
-Tick
-MemSystem::read(Requester r, Addr pa, void *buf, std::uint64_t len)
+MemSystem::Route
+MemSystem::route(Requester r, Addr pa, std::uint64_t len,
+                 std::vector<StatGroup::Counter> &counters)
 {
     Route route = resolve(r, pa, len);
     if (r != Requester::debug)
-        _routeReads[route.stat].inc();
+        counters[route.stat].inc();
     if (_residency)
         touchResidency(r, route);
-    switch (route.kind) {
-      case Route::Kind::hostDram:
-        _hostDram.read(route.offset, buf, len);
-        break;
-      case Route::Kind::nxpDram:
-        nxpDram(route.device).read(route.offset, buf, len);
-        break;
-      case Route::Kind::ctrlDev: {
-        MmioDevice *dev = _ctrl[route.device];
-        if (!dev)
-            panic("control window read with no device mapped");
-        if (len > 8)
-            panic("control window read of %llu bytes",
-                  (unsigned long long)len);
-        std::uint64_t v = dev->mmioRead(route.offset,
-                                        static_cast<unsigned>(len));
+    return route;
+}
+
+std::uint64_t
+MemSystem::mmioRead(const Route &route, std::uint64_t len)
+{
+    MmioDevice *dev = _ctrl[route.device];
+    if (!dev)
+        panic("control window read with no device mapped");
+    if (len > 8)
+        panic("control window read of %llu bytes", (unsigned long long)len);
+    return dev->mmioRead(route.offset, static_cast<unsigned>(len));
+}
+
+void
+MemSystem::mmioWrite(const Route &route, std::uint64_t value,
+                     std::uint64_t len)
+{
+    MmioDevice *dev = _ctrl[route.device];
+    if (!dev)
+        panic("control window write with no device mapped");
+    if (len > 8)
+        panic("control window write of %llu bytes", (unsigned long long)len);
+    dev->mmioWrite(route.offset, value, static_cast<unsigned>(len));
+}
+
+Tick
+MemSystem::read(Requester r, Addr pa, void *buf, std::uint64_t len)
+{
+    Route rt = route(r, pa, len, _routeReads);
+    if (rt.kind == Route::Kind::ctrlDev) {
+        std::uint64_t v = mmioRead(rt, len);
         for (std::uint64_t i = 0; i < len; ++i)
             static_cast<std::uint8_t *>(buf)[i] =
                 static_cast<std::uint8_t>(v >> (8 * i));
-        break;
-      }
+    } else {
+        storeOf(rt).read(rt.offset, buf, len);
     }
-    return route.latency;
+    return rt.latency;
 }
 
 Tick
 MemSystem::write(Requester r, Addr pa, const void *buf, std::uint64_t len)
 {
-    Route route = resolve(r, pa, len);
-    if (r != Requester::debug)
-        _routeWrites[route.stat].inc();
-    if (_residency)
-        touchResidency(r, route);
-    switch (route.kind) {
-      case Route::Kind::hostDram:
-        _hostDram.write(route.offset, buf, len);
-        break;
-      case Route::Kind::nxpDram:
-        nxpDram(route.device).write(route.offset, buf, len);
-        break;
-      case Route::Kind::ctrlDev: {
-        MmioDevice *dev = _ctrl[route.device];
-        if (!dev)
-            panic("control window write with no device mapped");
-        if (len > 8)
-            panic("control window write of %llu bytes",
-                  (unsigned long long)len);
+    Route rt = route(r, pa, len, _routeWrites);
+    if (rt.kind == Route::Kind::ctrlDev) {
         std::uint64_t v = 0;
         for (std::uint64_t i = 0; i < len; ++i)
             v |= std::uint64_t(static_cast<const std::uint8_t *>(buf)[i])
                  << (8 * i);
-        dev->mmioWrite(route.offset, v, static_cast<unsigned>(len));
-        break;
-      }
+        mmioWrite(rt, v, len);
+    } else {
+        storeOf(rt).write(rt.offset, buf, len);
     }
-    return route.latency;
+    return rt.latency;
 }
 
 Tick
 MemSystem::readInt(Requester r, Addr pa, unsigned len, std::uint64_t &out)
 {
-    std::uint8_t buf[8] = {};
     if (len > 8)
         panic("readInt of %u bytes", len);
-    Tick t = read(r, pa, buf, len);
-    out = 0;
-    for (unsigned i = 0; i < len; ++i)
-        out |= std::uint64_t(buf[i]) << (8 * i);
-    return t;
+    Route rt = route(r, pa, len, _routeReads);
+    if (rt.kind == Route::Kind::ctrlDev)
+        out = lowBytes(mmioRead(rt, len), len);
+    else
+        out = storeOf(rt).readInt(rt.offset, len);
+    return rt.latency;
 }
 
 Tick
 MemSystem::writeInt(Requester r, Addr pa, std::uint64_t value, unsigned len)
 {
-    std::uint8_t buf[8];
     if (len > 8)
         panic("writeInt of %u bytes", len);
-    for (unsigned i = 0; i < len; ++i)
-        buf[i] = static_cast<std::uint8_t>(value >> (8 * i));
-    return write(r, pa, buf, len);
+    Route rt = route(r, pa, len, _routeWrites);
+    if (rt.kind == Route::Kind::ctrlDev)
+        mmioWrite(rt, lowBytes(value, len), len);
+    else
+        storeOf(rt).writeInt(rt.offset, value, len);
+    return rt.latency;
 }
 
 } // namespace flick

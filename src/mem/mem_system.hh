@@ -178,6 +178,14 @@ class MemSystem
      */
     std::uint64_t canonicalPageKey(Requester r, Addr pa) const;
 
+    /**
+     * Watch the backing page named by @p key (not noPageKey): from now
+     * on a write to it reaches the decode sinks. A page that is never
+     * watched notifies no sink, so Core::slotFor() watches each page
+     * its decode cache holds.
+     */
+    void watchPage(std::uint64_t key);
+
     /** Register a decode sink to be notified of page writes. */
     void addDecodeSink(DecodeSink *sink);
 
@@ -216,6 +224,25 @@ class MemSystem
     };
 
     Route resolve(Requester r, Addr pa, std::uint64_t len) const;
+
+    /** resolve(), plus the access's route counter (one of @p counters)
+     *  and residency touch. */
+    Route route(Requester r, Addr pa, std::uint64_t len,
+                std::vector<StatGroup::Counter> &counters);
+
+    /** Backing store of a DRAM route. */
+    SparseMemory &
+    storeOf(const Route &route)
+    {
+        return route.kind == Route::Kind::hostDram
+                   ? _hostDram
+                   : *_nxpDrams[route.device];
+    }
+
+    /** Read or write @p len (at most 8) bytes of a control window. */
+    std::uint64_t mmioRead(const Route &route, std::uint64_t len);
+    void mmioWrite(const Route &route, std::uint64_t value,
+                   std::uint64_t len);
 
     // Route counter indices; the constructor names each one.
     static constexpr unsigned hostToHostRoute = 0;

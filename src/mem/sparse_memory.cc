@@ -7,6 +7,11 @@
 namespace flick
 {
 
+SparseMemory::SparseMemory(std::uint64_t size)
+    : _size(size), _leaves((size + leafBytes - 1) / leafBytes)
+{
+}
+
 void
 SparseMemory::boundsCheck(Addr offset, std::uint64_t len) const
 {
@@ -18,34 +23,40 @@ SparseMemory::boundsCheck(Addr offset, std::uint64_t len) const
     }
 }
 
-const SparseMemory::Chunk *
-SparseMemory::chunkFor(Addr offset) const
+bool
+SparseMemory::watchedIn(Addr offset, std::uint64_t len) const
 {
-    const std::uint64_t index = offset / chunkBytes;
-    if (index == _memoIndex)
-        return _memoChunk;
-    auto it = _chunks.find(index);
-    if (it == _chunks.end())
-        return nullptr;
-    _memoIndex = index;
-    _memoChunk = it->second.get();
-    return _memoChunk;
+    const std::uint64_t last = (offset + len - 1) / chunkBytes;
+    for (std::uint64_t index = offset / chunkBytes; index <= last; ++index) {
+        const Leaf *leaf = _leaves[index / leafChunks].get();
+        if (leaf && leaf->watched[index % leafChunks])
+            return true;
+    }
+    return false;
+}
+
+SparseMemory::Chunk *
+SparseMemory::allocateChunk(Leaf &leaf, std::uint64_t slot)
+{
+    leaf.chunks[slot] = std::make_unique<Chunk>();
+    ++_allocatedChunks;
+    return leaf.chunks[slot].get();
 }
 
 SparseMemory::Chunk &
 SparseMemory::chunkForWrite(Addr offset)
 {
-    const std::uint64_t index = offset / chunkBytes;
-    if (index == _memoIndex)
-        return *_memoChunk;
-    auto &slot = _chunks[index];
-    if (!slot) {
-        slot = std::make_unique<Chunk>();
-        slot->fill(0);
-    }
-    _memoIndex = index;
-    _memoChunk = slot.get();
-    return *slot;
+    Leaf &leaf = leafForWrite(offset);
+    const std::uint64_t slot = chunkSlot(offset);
+    Chunk *c = leaf.chunks[slot].get();
+    return c ? *c : *allocateChunk(leaf, slot);
+}
+
+void
+SparseMemory::watch(Addr offset)
+{
+    boundsCheck(offset, 1);
+    leafForWrite(offset).watched[chunkSlot(offset)] = true;
 }
 
 void
@@ -71,7 +82,7 @@ void
 SparseMemory::write(Addr offset, const void *buf, std::uint64_t len)
 {
     boundsCheck(offset, len);
-    if (_listener && len > 0)
+    if (_listener && len > 0 && watchedIn(offset, len))
         _listener(offset, len);
     const auto *src = static_cast<const std::uint8_t *>(buf);
     while (len > 0) {
@@ -92,7 +103,7 @@ SparseMemory::fill(Addr offset, std::uint8_t value, std::uint64_t len)
     boundsCheck(offset, len);
     // The zero-fill fast path below may touch no chunk at all, but the
     // range is still logically overwritten — listeners must see it.
-    if (_listener && len > 0)
+    if (_listener && len > 0 && watchedIn(offset, len))
         _listener(offset, len);
     while (len > 0) {
         Addr in_chunk = offset % chunkBytes;
@@ -109,7 +120,7 @@ SparseMemory::fill(Addr offset, std::uint8_t value, std::uint64_t len)
 }
 
 std::uint64_t
-SparseMemory::readInt(Addr offset, unsigned len) const
+SparseMemory::readIntSlow(Addr offset, unsigned len) const
 {
     std::uint8_t buf[8] = {};
     if (len > 8)
@@ -122,7 +133,7 @@ SparseMemory::readInt(Addr offset, unsigned len) const
 }
 
 void
-SparseMemory::writeInt(Addr offset, std::uint64_t value, unsigned len)
+SparseMemory::writeIntSlow(Addr offset, std::uint64_t value, unsigned len)
 {
     if (len > 8)
         panic("writeInt of %u bytes", len);

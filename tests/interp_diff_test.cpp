@@ -478,9 +478,10 @@ genHx64Stream(Rng &rng, unsigned count,
             emit32(0);
         } else if (pick < 92) {
             emit8(opJcc);
-            // evalCond() panics on cc > 9, so the generator only emits
-            // valid condition codes; jumps land on instruction starts
-            // only, so no byte is ever re-read as a bogus Jcc.
+            // Only valid condition codes (a cc above 9 is an illegal
+            // instruction, checked by its own directed case); jumps land
+            // on instruction starts only, so no byte is ever re-read as
+            // a bogus Jcc.
             emit8(static_cast<std::uint8_t>(rng.below(10)));
             fixups.push_back(
                 {bytes.size(), bytes.size() + 4,
@@ -787,8 +788,8 @@ constexpr unsigned lockstepSlices = 300;
 /**
  * A random page for a load/store base: data, stack or, when
  * @p with_text, either text page (stores there rewrite code under the
- * running block). HX64 streams keep their text intact: a rewritten Jcc
- * may carry a condition code evalCond() rejects.
+ * running block). HX64 streams keep their text intact, as the streams
+ * this suite has always compared did.
  */
 VAddr
 randomBase(Rng &rng, bool with_text)
@@ -1110,6 +1111,46 @@ TEST(BlockBoundary, Hx64LoopWithInstructionStraddlingPageEnd)
         ASSERT_EQ(last.stop, Fault::halt);
         EXPECT_EQ(cached.reg(rax), 50u);
         EXPECT_EQ(cached.stats().get("decode_cache_fallbacks"), 50u);
+    }
+}
+
+TEST(BlockBoundary, Hx64JccWithUnknownConditionFaultsAlike)
+{
+    using namespace hx64;
+    // Five turns of a loop, then a Jcc whose condition byte names no
+    // condition. The first pass decodes it in step(); the second runs it
+    // from its cached entry in a block. Both paths raise illegalInstr at
+    // its PC, with the same ticks and counters.
+    for (unsigned cc : {10u, 0x80u, 0xffu}) {
+        SCOPED_TRACE(testing::Message() << "cc " << cc);
+        const std::uint8_t code[] = {
+            opAddI, 0x00, 0x01, 0x00, 0x00, 0x00,    // 0: add rax, 1
+            opCmpRR, 0x01,                           // 6: cmp rax, rcx
+            opJcc, ccNe, 0xf2, 0xff, 0xff, 0xff,     // 8: jne -14 -> 0
+            opJcc, static_cast<std::uint8_t>(cc), 0x00, 0x00, 0x00,
+            0x00,                                    // 14: bad cc
+            opHalt,                                  // 20
+        };
+        DiffEnv cachedEnv, refEnv;
+        Hx64Core cached(tightParams(hx64Params(true)), cachedEnv.mem);
+        Hx64Core reference(tightParams(hx64Params(false)), refEnv.mem);
+        for (DiffEnv *env : {&cachedEnv, &refEnv})
+            env->setCode(code, sizeof code);
+        cached.mmu().setCr3(cachedEnv.cr3);
+        reference.mmu().setCr3(refEnv.cr3);
+        for (int pass = 0; pass < 2; ++pass) {
+            for (Hx64Core *core : {&cached, &reference}) {
+                core->setReg(rax, 0);
+                core->setReg(rcx, 5);
+                core->setPc(DiffEnv::codeVa);
+            }
+            StreamResult last =
+                runInLockstep(cached, cachedEnv, reference, refEnv);
+            ASSERT_EQ(last.stop, Fault::illegalInstr) << "pass " << pass;
+            EXPECT_EQ(last.faultVa, DiffEnv::codeVa + 14) << "pass " << pass;
+        }
+        // The second pass decoded nothing: the bad Jcc ran from its entry.
+        EXPECT_EQ(cached.stats().get("decode_cache_fills"), 4u);
     }
 }
 

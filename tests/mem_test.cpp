@@ -5,12 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
+#include "isa/rv64/core.hh"
+#include "isa/rv64/encoding.hh"
 #include "mem/dma.hh"
 #include "mem/irq.hh"
 #include "mem/mem_system.hh"
 #include "sim/random.hh"
+#include "vm/page_table.hh"
+#include "vm/phys_allocator.hh"
 
 namespace flick
 {
@@ -79,8 +84,8 @@ TEST(SparseMemory, IntRoundTripProperty)
 /**
  * Seeded write / read / fill / readInt calls, many straddling chunk
  * boundaries, checked against a flat reference buffer. The accesses
- * cluster in a few neighbouring chunks so the last-chunk memo is hit,
- * missed and re-pointed in every order.
+ * cluster in a few neighbouring chunks, allocated and absent ones
+ * interleaved in every order.
  */
 TEST(SparseMemory, MatchesFlatReference)
 {
@@ -142,7 +147,7 @@ TEST(SparseMemory, UntouchedNeighbourAfterMemoHitReadsZero)
     SparseMemory m(1 << 20);
     const Addr c3 = 3 * SparseMemory::chunkBytes;
     m.write64(c3 + 8, 0x1122334455667788ull);
-    EXPECT_EQ(m.read64(c3 + 8), 0x1122334455667788ull); // memo hit
+    EXPECT_EQ(m.read64(c3 + 8), 0x1122334455667788ull);
     EXPECT_EQ(m.allocatedChunks(), 1u);
     // The neighbours on both sides were never written.
     EXPECT_EQ(m.read64(c3 + SparseMemory::chunkBytes), 0u);
@@ -167,6 +172,206 @@ TEST(SparseMemoryDeath, OutOfRange)
     std::uint8_t b = 0;
     EXPECT_DEATH(m.read(4096, &b, 1), "out of range");
     EXPECT_DEATH(m.write(4090, &b, 8), "out of range");
+}
+
+TEST(SparseMemoryDeath, OutOfRangeInt)
+{
+    // A store whose end is in the middle of a chunk.
+    SparseMemory m(SparseMemory::chunkBytes + 16);
+    const Addr end = m.size();
+    EXPECT_DEATH(m.readInt(end, 1), "out of range");
+    EXPECT_DEATH(m.readInt(end - 4, 8), "out of range");
+    EXPECT_DEATH(m.writeInt(end, 1, 1), "out of range");
+    EXPECT_DEATH(m.writeInt(end - 1, 1, 2), "out of range");
+    EXPECT_DEATH(m.writeInt(~Addr(0) - 3, 1, 8), "out of range");
+}
+
+// --- Watched chunks: which writes reach the listener ----------------------
+
+/** A store whose listener records every call. */
+struct ListenedMemory
+{
+    explicit ListenedMemory(std::uint64_t size) : m(size)
+    {
+        m.setWriteListener([this](Addr offset, std::uint64_t len) {
+            calls.emplace_back(offset, len);
+        });
+    }
+
+    SparseMemory m;
+    std::vector<std::pair<Addr, std::uint64_t>> calls;
+};
+
+constexpr std::uint64_t chunk = SparseMemory::chunkBytes;
+constexpr std::uint64_t leaf = chunk * SparseMemory::leafChunks;
+
+TEST(SparseMemoryWatch, UnwatchedWritesNeverCallTheListener)
+{
+    ListenedMemory lm(4 * leaf);
+    SparseMemory &m = lm.m;
+    m.watch(5 * chunk);
+    m.watch(leaf + 7 * chunk);
+    std::vector<std::uint8_t> buf(2 * chunk, 0x5a);
+    m.write64(0x100, 1);
+    m.writeInt(4 * chunk - 2, 0xffff, 4); // Straddles chunks 3 and 4.
+    m.write(6 * chunk, buf.data(), buf.size());
+    m.write(5 * chunk - buf.size(), buf.data(), buf.size());
+    m.fill(0, 0xab, 5 * chunk); // Ends where watched chunk 5 starts.
+    m.fill(6 * chunk, 0, 3 * chunk);
+    m.fill(leaf + 8 * chunk, 0x11, chunk);
+    m.write64(3 * leaf, 2); // A leaf nothing was watched in.
+    EXPECT_TRUE(lm.calls.empty());
+    // A zero-length write touches nothing, watched or not.
+    m.write(5 * chunk, buf.data(), 0);
+    m.fill(5 * chunk, 1, 0);
+    EXPECT_TRUE(lm.calls.empty());
+}
+
+TEST(SparseMemoryWatch, WriteTouchingOneWatchedChunkCallsOnceWithFullRange)
+{
+    ListenedMemory lm(4 * leaf);
+    SparseMemory &m = lm.m;
+    m.watch(2 * chunk + 100); // Any offset names its whole chunk.
+    std::vector<std::uint8_t> buf(3 * chunk, 7);
+    using Calls = std::vector<std::pair<Addr, std::uint64_t>>;
+
+    // Chunks 1 to 4, of which only chunk 2 is watched.
+    m.write(chunk + 10, buf.data(), buf.size());
+    EXPECT_EQ(lm.calls, (Calls{{chunk + 10, buf.size()}}));
+    lm.calls.clear();
+    m.fill(chunk, 0, 3 * chunk);
+    EXPECT_EQ(lm.calls, (Calls{{chunk, 3 * chunk}}));
+    lm.calls.clear();
+    // Integer stores inside the chunk and across either of its edges.
+    m.writeInt(2 * chunk + 8, 1, 8);
+    m.writeInt(2 * chunk - 4, 2, 8);
+    m.writeInt(3 * chunk - 1, 3, 2);
+    EXPECT_EQ(lm.calls, (Calls{{2 * chunk + 8, 8},
+                               {2 * chunk - 4, 8},
+                               {3 * chunk - 1, 2}}));
+    lm.calls.clear();
+    // A write across a leaf edge into a watched chunk of the next leaf.
+    m.watch(leaf);
+    m.write(leaf - 8, buf.data(), 16);
+    EXPECT_EQ(lm.calls, (Calls{{leaf - 8, 16}}));
+}
+
+TEST(SparseMemoryWatch, WatchAllocatesNoChunk)
+{
+    SparseMemory m(4 * leaf);
+    m.watch(3 * chunk);
+    m.watch(leaf + 5 * chunk);
+    EXPECT_EQ(m.allocatedChunks(), 0u);
+    EXPECT_EQ(m.read64(3 * chunk), 0u);
+    EXPECT_EQ(m.readInt(4 * chunk - 4, 8), 0u);
+    EXPECT_EQ(m.read32(leaf + 5 * chunk + 12), 0u);
+    std::vector<std::uint8_t> span(2 * chunk, 0xff);
+    m.read(3 * chunk - 8, span.data(), span.size());
+    EXPECT_EQ(span, std::vector<std::uint8_t>(2 * chunk, 0));
+    EXPECT_EQ(m.allocatedChunks(), 0u);
+    // A store to a watched chunk allocates it like any other.
+    m.write64(3 * chunk + 8, 9);
+    EXPECT_EQ(m.read64(3 * chunk + 8), 9u);
+    EXPECT_EQ(m.allocatedChunks(), 1u);
+}
+
+/**
+ * Integer stores and loads of every width at every start that touches a
+ * chunk edge (leaf edges among them) and at the store's last bytes, the
+ * store's size being neither a leaf nor a chunk multiple, checked
+ * against a flat reference buffer.
+ */
+TEST(SparseMemory, IntAccessAtChunkEdgesAndStoreEndMatchesFlatReference)
+{
+    const std::uint64_t size = 2 * leaf + 3 * chunk + 5;
+    SparseMemory m(size);
+    std::vector<std::uint8_t> ref(size, 0);
+    Rng rng(21);
+    std::vector<Addr> edges = {chunk, 2 * chunk, leaf - chunk, leaf,
+                               leaf + chunk, 2 * leaf, 2 * leaf + chunk,
+                               2 * leaf + 3 * chunk, size};
+    auto check = [&](Addr off, unsigned len) {
+        std::uint64_t want = 0;
+        for (unsigned i = 0; i < len; ++i)
+            want |= std::uint64_t(ref[off + i]) << (8 * i);
+        return m.readInt(off, len) == want;
+    };
+    for (Addr edge : edges) {
+        for (unsigned len = 1; len <= 8; ++len) {
+            for (Addr off = edge - len; off <= edge && off + len <= size;
+                 ++off) {
+                ASSERT_TRUE(check(off, len))
+                    << "before write: off " << off << " len " << len;
+                std::uint64_t v = rng.next();
+                m.writeInt(off, v, len);
+                for (unsigned i = 0; i < len; ++i)
+                    ref[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
+                ASSERT_TRUE(check(off, len))
+                    << "after write: off " << off << " len " << len;
+            }
+        }
+    }
+    std::vector<std::uint8_t> all(size);
+    m.read(0, all.data(), size);
+    EXPECT_EQ(all, ref);
+}
+
+/** Counts the page notifications a decode cache would receive. */
+struct CountingSink : DecodeSink
+{
+    std::vector<std::uint64_t> pages;
+
+    void invalidatePage(std::uint64_t key) override { pages.push_back(key); }
+    void invalidateAll() override {}
+};
+
+TEST(WatchedPages, HostBarStoreReachesOnlyAPageAnNxpCoreDecoded)
+{
+    TimingConfig timing;
+    PlatformConfig platform;
+    platform.nxpDeviceCount = 2;
+    MemSystem mem(timing, platform);
+    PhysAllocator alloc("t", 0x100000, 16 << 20);
+    PageTableManager ptm(mem, alloc);
+    const Addr cr3 = ptm.createRoot();
+
+    // RV64 text in device 1's DRAM, which device 0's core fetches over
+    // the peer BAR window, the window the host stores through below.
+    const Addr text = 2 * leaf;
+    const Addr bar = platform.barBase(1);
+    const VAddr text_va = 0x400000;
+    ptm.map(cr3, text_va, bar + text, 4096, PageSize::size4K, pte::user);
+    const std::uint32_t code[2] = {rv64::encI(rv64::opImm, 5, 0, 0, 7),
+                                   0x00100073}; // addi x5, x0, 7; ebreak
+    mem.nxpDram(1).write(text, code, sizeof code);
+
+    CoreParams params;
+    params.name = "nxp";
+    params.requester = Requester::nxpCore;
+    Rv64Core core(params, mem);
+    core.mmu().setCr3(cr3);
+    core.setPc(text_va);
+    ASSERT_EQ(core.run().stop, Fault::halt);
+    EXPECT_EQ(core.reg(5), 7u);
+    EXPECT_EQ(core.stats().get("decode_cache_fills"), 2u);
+
+    CountingSink sink;
+    mem.addDecodeSink(&sink);
+    auto invalidated = [&] {
+        core.run(0); // Publishes the decode cache's counters.
+        return core.stats().get("decode_cache_invalidated_pages");
+    };
+    EXPECT_EQ(invalidated(), 0u);
+    // The next page of the same leaf was never decoded: no sink hears.
+    mem.writeInt(Requester::hostCore, bar + text + 4096, 1, 8);
+    EXPECT_TRUE(sink.pages.empty());
+    EXPECT_EQ(invalidated(), 0u);
+    // The decoded page, past the code.
+    mem.writeInt(Requester::hostCore, bar + text + 64, 1, 8);
+    EXPECT_EQ(sink.pages,
+              (std::vector<std::uint64_t>{MemSystem::pageKey(2, text)}));
+    EXPECT_EQ(invalidated(), 1u);
+    mem.removeDecodeSink(&sink);
 }
 
 class MemSystemTest : public ::testing::Test

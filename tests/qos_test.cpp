@@ -515,8 +515,9 @@ TEST(LoadGen, PoissonMeanRateAndOrdering)
     EXPECT_LT((double)arrivals.size(), expect * 1.15);
     for (std::size_t i = 0; i < arrivals.size(); ++i) {
         EXPECT_LT(arrivals[i].when, cfg.horizon);
-        if (i)
+        if (i) {
             EXPECT_GE(arrivals[i].when, arrivals[i - 1].when);
+        }
         EXPECT_EQ(arrivals[i].seq, i);
     }
 }
