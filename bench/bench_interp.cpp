@@ -90,7 +90,7 @@ struct LoopResult
     Fault stop = Fault::none;
     Tick elapsed = 0;
     std::uint64_t instructions = 0;
-    std::vector<std::uint64_t> context;
+    CoreContext context{};
 
     bool
     sameArchState(const LoopResult &o) const

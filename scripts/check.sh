@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Full verification sweep: docs-drift guards keeping DESIGN.md's
 # configuration table, counter reference and trace-point table in sync
-# with the code, the full test suite in the default build, the Table III
-# breakdown's exact-attribution gate, the interpreter bench's >= 5x
-# speedup gate, the other benches' smoke gates, and
+# with the code, the full test suite in the default build, the
+# repository benchmark's self-test, the Table III breakdown's
+# exact-attribution gate, the interpreter bench's >= 5x speedup gate,
+# the other benches' smoke gates, and
 # the whole test suite again in a Debug ASan+UBSan build with leak
 # checking on (lifetime bugs in the event-driven engine's continuation
 # chains, leaks of still-pending events, and undefined behaviour in the
@@ -145,6 +146,10 @@ cmake --build build -j "$jobs"
 ctest --test-dir build --output-on-failure -j "$jobs"
 
 echo
+echo "== repository benchmark self-test (traced and untraced runs agree) =="
+python3 perfbench/selftest.py
+
+echo
 echo "== Table III breakdown (fails unless phase sums equal end-to-end) =="
 ./build/bench/bench_table3_breakdown
 
@@ -172,13 +177,13 @@ echo
 echo "== debug + asan/ubsan build, full test suite with leak checking =="
 cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=Debug -DFLICK_SANITIZE=address,undefined >/dev/null
-# The test executables plus flick_run, protocol_trace and the benches
-# whose flag-rejection ctest entries are part of the suite; the other
-# benches are not needed here.
+# The test executables plus flick_run, protocol_trace and every bench a
+# ctest entry runs (flag rejections, golden outputs); the entry's name
+# starts with the bench's. The other benches are not needed here.
 test_targets=$(grep -oE '^flick_test\([a-z_0-9]+' tests/CMakeLists.txt |
                cut -d'(' -f2)
-bench_targets=$(grep -oE '^flick_bench_rejects\([a-z_0-9]+' \
-                    bench/CMakeLists.txt | cut -d'(' -f2 | sort -u)
+bench_targets=$(ctest --test-dir build-asan -N |
+                grep -oE ': bench_[a-z_0-9]+\.' | tr -d ':. ' | sort -u)
 cmake --build build-asan -j "$jobs" --target $test_targets $bench_targets \
     flick_run protocol_trace
 ASAN_OPTIONS=detect_leaks=1 \

@@ -13,8 +13,8 @@
 #define FLICK_FLICK_DESCRIPTOR_HH
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "mem/sparse_memory.hh"
 #include "vm/pte.hh"
@@ -73,14 +73,6 @@ struct MigrationDescriptor
      */
     std::uint64_t callId = 0;
 
-    /** The argument array as a vector (ABI handoff convenience). */
-    std::vector<std::uint64_t>
-    argVector() const
-    {
-        return std::vector<std::uint64_t>(args.begin(),
-                                          args.begin() + nargs);
-    }
-
     /**
      * Serialize to the 128-byte wire format (little endian), computing
      * and embedding the trailing checksum.
@@ -104,6 +96,29 @@ struct MigrationDescriptor
      */
     static bool wireIntact(const Wire &wire);
 };
+
+/**
+ * The CRC-64/ECMA-182 implementations behind
+ * MigrationDescriptor::wireChecksum(), exposed so tests can hold each one
+ * to the bitwise reference. wireChecksum() uses pclmulFold() when
+ * pclmulAvailable(), else slicingBy8().
+ */
+namespace descriptor_crc
+{
+
+/** Slicing-by-8 over @p len bytes: the path on every other host. */
+std::uint64_t slicingBy8(const std::uint8_t *p, std::size_t len);
+
+/** True when this CPU reports PCLMULQDQ (checked once, at start-up). */
+bool pclmulAvailable();
+
+/**
+ * PCLMULQDQ folding over the MigrationDescriptor::checksummedBytes bytes
+ * at @p p. Call only when pclmulAvailable().
+ */
+std::uint64_t pclmulFold(const std::uint8_t *p);
+
+} // namespace descriptor_crc
 
 } // namespace flick
 

@@ -298,8 +298,9 @@ MigrationEngine::currentNxpSp(const Task &task, unsigned device) const
     return task.nxpStackTop[device] & ~std::uint64_t(15);
 }
 
+template <class Then>
 void
-MigrationEngine::ensureNxpStack(TaskExec &x, unsigned device, Cont then)
+MigrationEngine::ensureNxpStack(TaskExec &x, unsigned device, Then then)
 {
     Task &task = *x.task;
     if (task.nxpStackTop[device] != 0) {
@@ -730,9 +731,8 @@ MigrationEngine::dispatchFallback(TaskExec &x)
                       "registered twin of %#llx",
                       pid, (unsigned long long)top.target);
             }
-            std::vector<std::uint64_t> args(top.args.begin(),
-                                            top.args.begin() + top.nargs);
-            _hostCore.setupCall(twin, args);
+            _hostCore.setupCall(twin,
+                                std::span(top.args.data(), top.nargs));
             tracePoint(TracePoint::hostFallback, pid, id, 0, twin);
             runHostSegment(*v);
         });
@@ -752,9 +752,7 @@ MigrationEngine::handleHostDescriptor(TaskExec &x, MigrationDescriptor d)
       case DescriptorKind::nxpToHostCall: {
         if (top.callee == hostSide) {
             // (d) An NxP called a host function: run it here.
-            std::vector<std::uint64_t> args(d.args.begin(),
-                                            d.args.begin() + d.nargs);
-            _hostCore.setupCall(d.target, args);
+            _hostCore.setupCall(d.target, std::span(d.args.data(), d.nargs));
             tracePoint(TracePoint::hostCallStart, pid, x.id, 0, d.target);
             runHostSegment(x);
             return;
@@ -776,25 +774,36 @@ MigrationEngine::handleHostDescriptor(TaskExec &x, MigrationDescriptor d)
             }
             _failovers.inc(to);
             top.callee = hostSide;
-            _hostCore.setupCall(twin, d.argVector());
+            _hostCore.setupCall(twin, std::span(d.args.data(), d.nargs));
             tracePoint(TracePoint::hostFallback, pid, x.id, 0, twin);
             runHostSegment(x);
             return;
         }
         tracePoint(TracePoint::hostForward, pid, x.id, to, d.target);
-        MigrationDescriptor fwd = d;
+        // The frame keeps the forwarded target and arguments (as
+        // hostSendDescriptor would record them), so the continuations
+        // below carry ids, not a descriptor. The rest of an
+        // nxpToHostCall's fields are zero or overwritten on the way.
+        top.target = d.target;
+        top.nargs = d.nargs;
+        top.args = d.args;
         std::uint64_t id = x.id;
-        ensureNxpStack(x, to, [this, pid, id, fwd, to] {
-            after(_timing.ioctlEntry, [this, pid, id, fwd, to] {
+        ensureNxpStack(x, to, [this, pid, id, to] {
+            after(_timing.ioctlEntry, [this, pid, id, to] {
                 TaskExec *w = live(pid, id);
                 if (!w) {
                     releaseHost();
                     return;
                 }
-                MigrationDescriptor f = fwd;
+                const CallFrame &fwd = w->frames.back();
+                MigrationDescriptor f;
                 f.kind = DescriptorKind::hostToNxpCall;
+                f.pid = static_cast<std::uint32_t>(pid);
+                f.target = fwd.target;
                 f.cr3 = w->task->cr3;
                 f.nxpSp = currentNxpSp(*w->task, to);
+                f.nargs = fwd.nargs;
+                f.args = fwd.args;
                 hostSendDescriptor(*w, f, to);
             });
         });
@@ -1131,9 +1140,7 @@ MigrationEngine::startHostTwinCall(TaskExec &x, VAddr faulted,
             return;
         }
         CallFrame &top = w->frames.back();
-        std::vector<std::uint64_t> args(top.args.begin(),
-                                        top.args.begin() + top.nargs);
-        _hostCore.setupCall(twin, args);
+        _hostCore.setupCall(twin, std::span(top.args.data(), top.nargs));
         tracePoint(steered ? TracePoint::hostSteered
                            : TracePoint::hostFallback,
                    pid, id, 0, twin);
@@ -1292,7 +1299,7 @@ MigrationEngine::hostSendDescriptor(TaskExec &x, MigrationDescriptor d,
         _kernel.suspendForMigration(task, _hostCore.saveContext());
         after(_timing.suspendSwitch, [this, pid, id, d, device] {
             bool is_call = d.kind == DescriptorKind::hostToNxpCall;
-            Cont fire = [this, pid, id, d, device] {
+            auto fire = [this, pid, id, d, device] {
                 TaskExec *w = live(pid, id);
                 if (!w) {
                     releaseHost();
@@ -1465,9 +1472,7 @@ MigrationEngine::handleNxpDescriptor(unsigned device,
             core.mmu().setCr3(d.cr3);
             s.loadedCr3 = d.cr3;
             core.setStackPointer(d.nxpSp);
-            std::vector<std::uint64_t> args(d.args.begin(),
-                                            d.args.begin() + d.nargs);
-            core.setupCall(d.target, args);
+            core.setupCall(d.target, std::span(d.args.data(), d.nargs));
             tracePoint(TracePoint::nxpCallStart, pid, d.callId, device,
                        d.target);
             runNxpSegment(*x, device);

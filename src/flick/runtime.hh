@@ -40,7 +40,6 @@
 #define FLICK_FLICK_RUNTIME_HH
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -470,8 +469,6 @@ class MigrationEngine
         unsigned d2hLanded = 0;
     };
 
-    using Cont = std::function<void()>;
-
     // --- Host-core scheduling -----------------------------------------
 
     /** Schedule a host dispatch attempt if the core might be free. */
@@ -779,14 +776,17 @@ class MigrationEngine
     // --- Helpers -------------------------------------------------------
 
     /** Ensure @p x's thread has an NxP stack on @p device (Listing 1),
-     *  charging the allocation before running @p then. */
-    void ensureNxpStack(TaskExec &x, unsigned device, Cont then);
+     *  charging the allocation before running @p then, a closure the
+     *  allocation event holds inline. */
+    template <class Then>
+    void ensureNxpStack(TaskExec &x, unsigned device, Then then);
 
-    /** Schedule @p fn to run @p t ticks from now. */
+    /** Schedule closure @p fn to run @p t ticks from now. */
+    template <class F>
     void
-    after(Tick t, Cont fn)
+    after(Tick t, F &&fn)
     {
-        _events.scheduleIn(t, "flick-engine", std::move(fn));
+        _events.scheduleIn(t, "flick-engine", std::forward<F>(fn));
     }
 
     Tick hostCycles(std::uint64_t n) const;

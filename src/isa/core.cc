@@ -54,10 +54,11 @@ Core::fetchLineFill(Addr pa)
 void
 Core::fetchBytes(Addr pa, void *buf, unsigned len)
 {
-    // Bytes come straight from backing store; timing was charged by
-    // fetchTranslate (I-cache model) or is considered hidden (host).
-    Tick t = _mem.read(Requester::debug, pa, buf, len);
-    (void)t;
+    // Bytes come straight from backing store, through this core's own
+    // address map (an NxP's text may sit in its local DRAM); timing was
+    // charged by fetchTranslate (I-cache model) or is considered hidden
+    // (host).
+    _mem.peek(_requester, pa, buf, len);
 }
 
 Fault

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -121,7 +122,7 @@ class Core
      * runtime trampoline. May adjust the stack (HX64 pushes).
      */
     virtual void setupCall(VAddr target,
-                           const std::vector<std::uint64_t> &args) = 0;
+                           std::span<const std::uint64_t> args) = 0;
 
     /**
      * Complete a hijacked call: deliver @p retval and emulate the
@@ -131,10 +132,10 @@ class Core
     virtual void finishHijackedCall(std::uint64_t retval) = 0;
 
     /** Snapshot all architectural state (context switch out). */
-    virtual std::vector<std::uint64_t> saveContext() const = 0;
+    virtual CoreContext saveContext() const = 0;
 
     /** Restore architectural state (context switch in). */
-    virtual void restoreContext(const std::vector<std::uint64_t> &ctx) = 0;
+    virtual void restoreContext(const CoreContext &ctx) = 0;
 
     // --- Infrastructure ------------------------------------------------
 

@@ -440,7 +440,7 @@ Hx64Core::debugWriteVa(VAddr va, std::uint64_t v)
 }
 
 void
-Hx64Core::setupCall(VAddr target, const std::vector<std::uint64_t> &args)
+Hx64Core::setupCall(VAddr target, std::span<const std::uint64_t> args)
 {
     if (args.size() > 6)
         panic("hx64 setupCall with %zu args (max 6)", args.size());
@@ -463,21 +463,20 @@ Hx64Core::finishHijackedCall(std::uint64_t retval)
     setPc(ret_addr);
 }
 
-std::vector<std::uint64_t>
+CoreContext
 Hx64Core::saveContext() const
 {
-    std::vector<std::uint64_t> ctx(_regs.begin(), _regs.end());
-    ctx.push_back(pc());
-    ctx.push_back(_cmpA);
-    ctx.push_back(_cmpB);
+    CoreContext ctx{};
+    std::copy(_regs.begin(), _regs.end(), ctx.begin());
+    ctx[16] = pc();
+    ctx[17] = _cmpA;
+    ctx[18] = _cmpB;
     return ctx;
 }
 
 void
-Hx64Core::restoreContext(const std::vector<std::uint64_t> &ctx)
+Hx64Core::restoreContext(const CoreContext &ctx)
 {
-    if (ctx.size() != 19)
-        panic("hx64 restoreContext with %zu words", ctx.size());
     for (unsigned i = 0; i < 16; ++i)
         _regs[i] = ctx[i];
     setPc(ctx[16]);

@@ -52,11 +52,11 @@ class Hx64Core : public Core
     void setStackPointer(std::uint64_t sp) override { _regs[4] = sp; }
 
     void setupCall(VAddr target,
-                   const std::vector<std::uint64_t> &args) override;
+                   std::span<const std::uint64_t> args) override;
     void finishHijackedCall(std::uint64_t retval) override;
 
-    std::vector<std::uint64_t> saveContext() const override;
-    void restoreContext(const std::vector<std::uint64_t> &ctx) override;
+    CoreContext saveContext() const override;
+    void restoreContext(const CoreContext &ctx) override;
 
   protected:
     Fault step() override;

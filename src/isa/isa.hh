@@ -13,6 +13,7 @@
 #ifndef FLICK_ISA_ISA_HH
 #define FLICK_ISA_ISA_HH
 
+#include <array>
 #include <cstdint>
 
 #include "vm/pte.hh"
@@ -48,6 +49,14 @@ enum class RelocType
     rvBranch12,  //!< RV64 conditional branch: +-4 KB PC-relative.
     rvAuipcPair, //!< RV64 AUIPC + following I-type (la/call): +-2 GB.
 };
+
+/**
+ * Architectural state saved by a context switch (Core::saveContext).
+ * RV64 fills it: 32 registers, then the PC. HX64 uses the first 19
+ * words (16 registers, the PC, the two compare operands) and leaves the
+ * rest 0. Its fixed size keeps context switches free of allocation.
+ */
+using CoreContext = std::array<std::uint64_t, 33>;
 
 /**
  * The runtime trampoline address.

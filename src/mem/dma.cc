@@ -40,13 +40,15 @@ DmaEngine::enqueue(Transfer t)
         traceQueueDepth();
         return;
     }
-    start(std::move(t));
+    _active = std::move(t);
+    start();
     traceQueueDepth();
 }
 
 void
-DmaEngine::start(Transfer t)
+DmaEngine::start()
 {
+    const Transfer &t = _active;
     _busy = true;
     _transfers.inc();
     _bytes.inc(t.len);
@@ -68,9 +70,7 @@ DmaEngine::start(Transfer t)
         }
     }
     _events.scheduleIn(latency, t.to_nxp ? "dmaToNxp" : "dmaToHost",
-                       [this, t = std::move(t)]() mutable {
-                           complete(std::move(t));
-                       });
+                       [this] { complete(); });
 }
 
 void
@@ -87,9 +87,10 @@ DmaEngine::corrupt(std::uint8_t *buf, std::uint64_t len)
 }
 
 void
-DmaEngine::complete(Transfer t)
+DmaEngine::complete()
 {
     const PlatformConfig &p = _mem.platform();
+    Transfer &t = _active;
 
     // Move the bytes between backing stores. The engine addresses host
     // memory with host physical addresses and local memory with NxP-local
@@ -120,14 +121,18 @@ DmaEngine::complete(Transfer t)
             panic("DMA completion IRQ requested with no IRQ controller");
         _irq->raise(static_cast<unsigned>(t.irq_vector));
     }
-    if (t.done)
+    // While the callback runs the engine is still busy, so a transfer it
+    // issues queues behind this one and _active stays put.
+    if (t.done) {
         t.done();
+        t.done = nullptr;
+    }
 
     _busy = false;
     if (!_pending.empty()) {
-        Transfer next = std::move(_pending.front());
+        _active = std::move(_pending.front());
         _pending.pop_front();
-        start(std::move(next));
+        start();
     }
     traceQueueDepth();
 }

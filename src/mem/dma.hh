@@ -14,11 +14,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "mem/mem_system.hh"
 #include "sim/event_queue.hh"
+#include "sim/inline_callback.hh"
 #include "sim/stats.hh"
 
 namespace flick
@@ -35,7 +35,7 @@ class Tracer;
 class DmaEngine
 {
   public:
-    using Callback = std::function<void()>;
+    using Callback = InlineCallback;
 
     /**
      * @param nxp_device Which NxP device this engine belongs to; its
@@ -100,8 +100,10 @@ class DmaEngine
     };
 
     void enqueue(Transfer t);
-    void start(Transfer t);
-    void complete(Transfer t);
+    /** Start _active: charge it and schedule its completion. */
+    void start();
+    /** Land _active's bytes, run its callback, start the next one. */
+    void complete();
     /** Sample the queue-depth gauge (no-op without an enabled tracer). */
     void traceQueueDepth();
     /** Maybe flip bits in an in-flight payload of @p len bytes (chaos). */
@@ -114,6 +116,9 @@ class DmaEngine
     Tracer *_tracer = nullptr;
     unsigned _device;
     bool _busy = false;
+    //! The transfer in flight while _busy, so its completion event
+    //! captures only the engine.
+    Transfer _active{};
     std::deque<Transfer> _pending;
     /** Landing buffer for complete(), reused by every transfer. */
     std::vector<std::uint8_t> _bounce;

@@ -326,10 +326,9 @@ MemSystem::mmioWrite(const Route &route, std::uint64_t value,
     dev->mmioWrite(route.offset, value, static_cast<unsigned>(len));
 }
 
-Tick
-MemSystem::read(Requester r, Addr pa, void *buf, std::uint64_t len)
+void
+MemSystem::load(const Route &rt, void *buf, std::uint64_t len)
 {
-    Route rt = route(r, pa, len, _routeReads);
     if (rt.kind == Route::Kind::ctrlDev) {
         std::uint64_t v = mmioRead(rt, len);
         for (std::uint64_t i = 0; i < len; ++i)
@@ -338,7 +337,20 @@ MemSystem::read(Requester r, Addr pa, void *buf, std::uint64_t len)
     } else {
         storeOf(rt).read(rt.offset, buf, len);
     }
+}
+
+Tick
+MemSystem::read(Requester r, Addr pa, void *buf, std::uint64_t len)
+{
+    Route rt = route(r, pa, len, _routeReads);
+    load(rt, buf, len);
     return rt.latency;
+}
+
+void
+MemSystem::peek(Requester r, Addr pa, void *buf, std::uint64_t len)
+{
+    load(resolve(r, pa, len), buf, len);
 }
 
 Tick

@@ -136,6 +136,12 @@ class MemSystem
      */
     Tick read(Requester r, Addr pa, void *buf, std::uint64_t len);
 
+    /**
+     * Read through requester @p r's address map, untimed and uncounted:
+     * instruction bytes, whose time the core already charged.
+     */
+    void peek(Requester r, Addr pa, void *buf, std::uint64_t len);
+
     /** Perform a timed write. @return Latency of the access. */
     Tick write(Requester r, Addr pa, const void *buf, std::uint64_t len);
 
@@ -238,6 +244,9 @@ class MemSystem
                    ? _hostDram
                    : *_nxpDrams[route.device];
     }
+
+    /** Copy @p len bytes out of a resolved route into @p buf. */
+    void load(const Route &route, void *buf, std::uint64_t len);
 
     /** Read or write @p len (at most 8) bytes of a control window. */
     std::uint64_t mmioRead(const Route &route, std::uint64_t len);

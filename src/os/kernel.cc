@@ -51,17 +51,23 @@ Kernel::enqueueRunnable(Task &task)
 Task *
 Kernel::nextRunnable()
 {
-    if (_runQueue.empty())
+    if (_runHead == _runQueue.size())
         return nullptr;
-    Task *t = _runQueue.front();
-    _runQueue.pop_front();
+    Task *t = _runQueue[_runHead++];
+    if (_runHead == _runQueue.size()) {
+        _runQueue.clear();
+        _runHead = 0;
+    } else if (_runHead >= 64 && 2 * _runHead >= _runQueue.size()) {
+        _runQueue.erase(_runQueue.begin(), _runQueue.begin() + _runHead);
+        _runHead = 0;
+    }
     return t;
 }
 
 void
 Kernel::removeFromRunQueue(Task &task)
 {
-    for (auto it = _runQueue.begin(); it != _runQueue.end();) {
+    for (auto it = _runQueue.begin() + _runHead; it != _runQueue.end();) {
         if (*it == &task) {
             it = _runQueue.erase(it);
             _stats.inc("runqueue_removals");
@@ -122,13 +128,12 @@ Kernel::traceInstant(TracePoint p, const Task &task)
 }
 
 void
-Kernel::suspendForMigration(Task &task,
-                            std::vector<std::uint64_t> host_context)
+Kernel::suspendForMigration(Task &task, const CoreContext &host_context)
 {
     if (task.state != TaskState::running && task.state != TaskState::created)
         panic("suspendForMigration of task %d in state %d", task.pid,
               static_cast<int>(task.state));
-    task.hostContext = std::move(host_context);
+    task.hostContext = host_context;
     task.migrationFlag = true;
     task.state = TaskState::onNxp;
     _suspensions.inc();
@@ -156,7 +161,7 @@ Kernel::wake(Task &task)
     traceInstant(TracePoint::kernelWake, task);
 }
 
-std::vector<std::uint64_t>
+const CoreContext &
 Kernel::resume(Task &task)
 {
     if (task.state != TaskState::runnable)
@@ -165,7 +170,7 @@ Kernel::resume(Task &task)
     task.state = TaskState::running;
     _resumes.inc();
     traceInstant(TracePoint::kernelResume, task);
-    return std::move(task.hostContext);
+    return task.hostContext;
 }
 
 } // namespace flick

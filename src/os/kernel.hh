@@ -14,7 +14,6 @@
 #define FLICK_OS_KERNEL_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -77,7 +76,11 @@ class Kernel
     Task *nextRunnable();
 
     /** Number of tasks queued for the host core. */
-    std::size_t runQueueDepth() const { return _runQueue.size(); }
+    std::size_t
+    runQueueDepth() const
+    {
+        return _runQueue.size() - _runHead;
+    }
 
     /**
      * Remove every queued occurrence of @p task (its call failed or was
@@ -106,8 +109,7 @@ class Kernel
      * (the ioctl path) must trigger the descriptor DMA only after this
      * returns — the ordering the paper's scheduler flag enforces.
      */
-    void suspendForMigration(Task &task,
-                             std::vector<std::uint64_t> host_context);
+    void suspendForMigration(Task &task, const CoreContext &host_context);
 
     /**
      * Consume the migration flag, as the scheduler does right after
@@ -119,7 +121,7 @@ class Kernel
     void wake(Task &task);
 
     /** Scheduler picked the task back up; returns the saved context. */
-    std::vector<std::uint64_t> resume(Task &task);
+    const CoreContext &resume(Task &task);
 
     StatGroup &stats() { return _stats; }
 
@@ -140,7 +142,11 @@ class Kernel
 
     int _nextPid = 1000;
     std::vector<std::unique_ptr<Task>> _tasks;
-    std::deque<Task *> _runQueue;
+    //! FIFO of runnable tasks: [_runHead, end) is queued. The vector is
+    //! cleared when it drains and compacted when its consumed prefix
+    //! dominates, so steady-state wake-ups allocate nothing.
+    std::vector<Task *> _runQueue;
+    std::size_t _runHead = 0;
     StatGroup _stats;
     // Bumped once per crossing, so resolved once (DESIGN.md §17).
     StatGroup::Counter _nxFaults{_stats, "nx_faults"};

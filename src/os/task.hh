@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "isa/isa.hh"
 #include "vm/pte.hh"
 
 namespace flick
@@ -70,7 +71,7 @@ enum class TaskState
 struct NxpSavedContext
 {
     unsigned device;
-    std::vector<std::uint64_t> context;
+    CoreContext context;
     std::uint64_t sp;
 };
 
@@ -98,7 +99,7 @@ struct Task
     bool migrationFlag = false;
 
     /** Host register context saved while suspended. */
-    std::vector<std::uint64_t> hostContext;
+    CoreContext hostContext{};
 
     /**
      * NxP contexts saved per nesting level while this thread is away

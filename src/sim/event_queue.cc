@@ -7,30 +7,29 @@
 namespace flick
 {
 
-EventQueue::EventId
-EventQueue::schedule(Tick when, const char *name, Callback cb)
+EventQueue::Slot &
+EventQueue::claim(Tick when, const char *name)
 {
     if (when < _now) {
         panic("event '%s' scheduled in the past (%llu < %llu)", name,
               (unsigned long long)when, (unsigned long long)_now);
     }
-    std::uint32_t slot;
+    std::uint32_t i;
     if (_free.empty()) {
-        slot = static_cast<std::uint32_t>(_slots.size());
-        _slots.emplace_back();
+        i = _slotCount++;
+        if ((i & (chunkSlots - 1)) == 0)
+            _chunks.push_back(std::make_unique<Slot[]>(chunkSlots));
     } else {
-        slot = _free.back();
+        i = _free.back();
         _free.pop_back();
     }
-    Slot &s = _slots[slot];
-    s.cb = std::move(cb);
+    Slot &s = slot(i);
     s.name = name;
     s.cancelled = false;
-    const EventId id = _seq + 1;
-    _heap.push_back({when, _seq++, slot});
+    _heap.push_back({when, _seq++, i});
     std::push_heap(_heap.begin(), _heap.end(), later);
     ++_live;
-    return id;
+    return s;
 }
 
 bool
@@ -43,7 +42,7 @@ EventQueue::deschedule(EventId id)
     for (const Key &k : _heap) {
         if (k.seq + 1 != id)
             continue;
-        Slot &s = _slots[k.slot];
+        Slot &s = slot(k.slot);
         if (s.cancelled)
             return false;
         s.cancelled = true;
@@ -56,17 +55,17 @@ EventQueue::deschedule(EventId id)
 void
 EventQueue::popHead()
 {
-    std::uint32_t slot = _heap.front().slot;
+    std::uint32_t i = _heap.front().slot;
     std::pop_heap(_heap.begin(), _heap.end(), later);
     _heap.pop_back();
-    _slots[slot].cb = nullptr;
-    _free.push_back(slot);
+    slot(i).cb = nullptr;
+    _free.push_back(i);
 }
 
 bool
 EventQueue::liveHead()
 {
-    while (!_heap.empty() && _slots[_heap.front().slot].cancelled)
+    while (!_heap.empty() && slot(_heap.front().slot).cancelled)
         popHead();
     return !_heap.empty();
 }
@@ -83,14 +82,17 @@ EventQueue::step()
     if (!liveHead())
         return false;
     const Key head = _heap.front();
-    // Take the callback out and recycle the slot before running it: the
-    // callback may schedule new events, which can reuse this very slot.
-    Callback cb = std::move(_slots[head.slot].cb);
-    popHead();
+    std::pop_heap(_heap.begin(), _heap.end(), later);
+    _heap.pop_back();
     _now = head.when;
     --_live;
     ++_eventsRun;
-    cb();
+    // Run the callback in its slot and recycle the slot afterwards: the
+    // events it schedules take other slots, and chunks never move.
+    Slot &s = slot(head.slot);
+    s.cb();
+    s.cb = nullptr;
+    _free.push_back(head.slot);
     return true;
 }
 

@@ -12,9 +12,10 @@
 #define FLICK_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <vector>
 
+#include "sim/inline_callback.hh"
 #include "sim/ticks.hh"
 
 namespace flick
@@ -30,7 +31,7 @@ namespace flick
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    using Callback = InlineCallback;
 
     /** Opaque handle identifying a scheduled event, for deschedule(). */
     using EventId = std::uint64_t;
@@ -45,21 +46,30 @@ class EventQueue
     Tick now() const { return _now; }
 
     /**
-     * Schedule @p cb to run at absolute time @p when.
+     * Schedule @p cb to run at absolute time @p when. The closure is
+     * built straight into the event's slot.
      *
      * @param when Absolute tick; must not be in the past.
      * @param name Debug label (a string with static storage, typically a
      *        literal), retained for diagnostics.
-     * @param cb Callback to invoke.
+     * @param cb Callback to invoke: a closure or a Callback.
      * @return Handle usable with deschedule().
      */
-    EventId schedule(Tick when, const char *name, Callback cb);
+    template <class F>
+    EventId
+    schedule(Tick when, const char *name, F &&cb)
+    {
+        Slot &s = claim(when, name);
+        s.cb = std::forward<F>(cb);
+        return _seq; // claim() took seq _seq - 1, whose id is _seq
+    }
 
     /** Schedule @p cb to run @p delay ticks from now. */
+    template <class F>
     EventId
-    scheduleIn(Tick delay, const char *name, Callback cb)
+    scheduleIn(Tick delay, const char *name, F &&cb)
     {
-        return schedule(_now + delay, name, std::move(cb));
+        return schedule(_now + delay, name, std::forward<F>(cb));
     }
 
     /**
@@ -116,6 +126,23 @@ class EventQueue
         bool cancelled = false;
     };
 
+    /** Slots come in chunks that never move, so a callback runs where
+     *  it lies while the events it schedules add chunks. */
+    static constexpr unsigned chunkShift = 6;
+    static constexpr std::uint32_t chunkSlots = 1u << chunkShift;
+
+    Slot &
+    slot(std::uint32_t i)
+    {
+        return _chunks[i >> chunkShift][i & (chunkSlots - 1)];
+    }
+
+    /**
+     * Take a free slot for an event at @p when, label it and push its
+     * key; schedule() then stores the callback in it.
+     */
+    Slot &claim(Tick when, const char *name);
+
     /**
      * Heap key: the firing order (when, then FIFO seq) plus the slot, so
      * a sift moves 24 bytes and compares without touching the slot.
@@ -144,7 +171,8 @@ class EventQueue
     std::uint64_t _seq = 0;
     std::size_t _live = 0;
     std::uint64_t _eventsRun = 0;
-    std::vector<Slot> _slots;
+    std::vector<std::unique_ptr<Slot[]>> _chunks;
+    std::uint32_t _slotCount = 0; //!< Slots handed out so far.
     std::vector<std::uint32_t> _free;
     std::vector<Key> _heap;
 };

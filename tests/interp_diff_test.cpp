@@ -296,7 +296,7 @@ struct StreamResult
     VAddr faultVa = 0;
     Tick elapsed = 0;
     std::uint64_t instructions = 0;
-    std::vector<std::uint64_t> context; //!< saveContext(): regs + pc (+flags).
+    CoreContext context{}; //!< saveContext(): regs + pc (+flags).
     std::vector<std::uint8_t> memory;   //!< Data, stack and text pages.
 
     bool

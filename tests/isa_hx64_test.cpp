@@ -411,7 +411,8 @@ f:
     ptm.map(cr3, 0x500000, pa, 4096, PageSize::size4K,
             pte::user | pte::noExecute);
     core->setStackPointer(stackVa - 64);
-    core->setupCall(codeVa + symbols.at("f"), {11, 22});
+    core->setupCall(codeVa + symbols.at("f"),
+                    std::array<std::uint64_t, 2>{11, 22});
     RunResult r = core->run();
     EXPECT_EQ(r.stop, Fault::nxFetch);
     EXPECT_EQ(r.faultVa, 0x500000u);
@@ -524,7 +525,7 @@ TEST_P(Hx64AluProperty, RandomOps)
         Hx64Core core(p, mem);
         core.mmu().setCr3(cr3);
         core.setStackPointer(0x7ffff8);
-        core.setupCall(0x400000, {a, b});
+        core.setupCall(0x400000, std::array<std::uint64_t, 2>{a, b});
         RunResult r = core.run(100);
         ASSERT_EQ(r.stop, Fault::trampoline) << c.op;
         EXPECT_EQ(core.retVal(), c.expect) << c.op;

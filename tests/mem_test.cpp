@@ -374,6 +374,41 @@ TEST(WatchedPages, HostBarStoreReachesOnlyAPageAnNxpCoreDecoded)
     mem.removeDecodeSink(&sink);
 }
 
+/**
+ * An NxP core reads its instruction bytes through its own address map:
+ * text in the device's own DRAM, mapped through BAR0 with the TLB's BAR
+ * remap set, resolves to the device-local window, which the host-space
+ * debug back door does not map.
+ */
+TEST(CoreFetch, NxpTextInItsOwnDramRunsThroughTheBarRemap)
+{
+    TimingConfig timing;
+    PlatformConfig platform;
+    MemSystem mem(timing, platform);
+    PhysAllocator alloc("t", 0x100000, 16 << 20);
+    PageTableManager ptm(mem, alloc);
+    const Addr cr3 = ptm.createRoot();
+
+    const Addr text = 2 * leaf;
+    const VAddr text_va = 0x400000;
+    ptm.map(cr3, text_va, platform.barBase(0) + text, 4096,
+            PageSize::size4K, pte::user);
+    const std::uint32_t code[2] = {rv64::encI(rv64::opImm, 5, 0, 0, 7),
+                                   0x00100073}; // addi x5, x0, 7; ebreak
+    mem.nxpDram(0).write(text, code, sizeof code);
+
+    CoreParams params;
+    params.name = "nxp";
+    params.requester = Requester::nxpCore;
+    Rv64Core core(params, mem);
+    core.mmu().setCr3(cr3);
+    core.mmu().setBarRemap(platform.barBase(0), platform.deviceDramBytes(0),
+                           platform.barRemapOffset());
+    core.setPc(text_va);
+    ASSERT_EQ(core.run().stop, Fault::halt);
+    EXPECT_EQ(core.reg(5), 7u);
+}
+
 class MemSystemTest : public ::testing::Test
 {
   protected:

@@ -59,7 +59,7 @@ TEST(Kernel, SuspendWakeResumeCycle)
     Task &t = k.createTask(0x1000);
     t.state = TaskState::running;
 
-    std::vector<std::uint64_t> ctx = {1, 2, 3};
+    CoreContext ctx = {1, 2, 3};
     k.suspendForMigration(t, ctx);
     EXPECT_EQ(t.state, TaskState::onNxp);
     EXPECT_TRUE(t.migrationFlag);
