@@ -170,13 +170,37 @@ TEST(EventQueue, DestructionFreesPendingEvents)
 }
 
 /**
+ * A callback runs in its own slot while the events it schedules claim
+ * new slot chunks; its captures must stay put (a moved slot would be a
+ * use-after-free, which the ASan leg reports).
+ */
+TEST(EventQueue, CallbackSchedulingManyEventsKeepsItsCaptures)
+{
+    EventQueue q;
+    std::vector<int> fired;
+    const std::uint64_t a = 0x1234, b = 0x5678;
+    bool intact = false;
+    q.schedule(1, "parent", [&q, &fired, &intact, a, b] {
+        for (int i = 0; i < 300; ++i)
+            q.scheduleIn(1 + i, "child", [&fired, i] { fired.push_back(i); });
+        intact = a == 0x1234 && b == 0x5678;
+    });
+    q.run();
+    EXPECT_TRUE(intact);
+    ASSERT_EQ(fired.size(), 300u);
+    for (int i = 0; i < 300; ++i)
+        EXPECT_EQ(fired[i], i);
+}
+
+/**
  * Differential test of the pooled event queue against a reference that
  * is simply the set of live events ordered by (when, schedule order):
  * about 20k seeded schedule / deschedule / step / runUntil /
  * nextEventTime calls, many of them at the same tick, comparing the
  * firing order, nextEventTime(), pending() and eventsRun() after every
- * call. Some callbacks schedule a child while they run, when their own
- * slot has just been recycled, so the child can land in that very slot.
+ * call. Some callbacks schedule a child while they run in their own
+ * slot, which stays taken until they return, so children claim free
+ * slots and new slot chunks under a running callback.
  */
 TEST(EventQueue, DifferentialAgainstOrderedReference)
 {
@@ -199,7 +223,7 @@ TEST(EventQueue, DifferentialAgainstOrderedReference)
         live.insert({at, i});
         ids.push_back(q.schedule(at, "diff", [&, i, token] {
             fired.push_back(i);
-            if (i % 5 == 0) // re-entrant: may reuse the slot just freed
+            if (i % 5 == 0) // re-entrant: schedules while it runs
                 add(delays[i % 8]);
         }));
     };
