@@ -42,22 +42,20 @@ echo "SystemConfig::with* options and DESIGN.md agree"
 
 echo
 echo "== docs drift guard: flick.* stat families in DESIGN.md =="
-# Both directions: every counter the engine and residency tracker emit
-# must be named in the §15 counter reference, and every flick.* name
-# DESIGN.md mentions must still be emitted, so neither a new counter nor
-# a deleted one can leave the docs stale.
+# Both directions: every counter the engine emits must be named in the
+# §15 counter reference, and every flick.* name DESIGN.md mentions must
+# still be emitted, so neither a new counter nor a deleted one can leave
+# the docs stale.
 #
 # Keys are the string literals at two kinds of site. Cold paths bump a
 # literal on _stats in runtime.cc, including the "? ..." / ": ..."
-# continuation lines of a ternary key; a literal followed by
-# "+ std::to_string(...)" is a stem, documented as
-# flick.residency.<stem><k>. Hot paths bump a handle registered once in
-# runtime.hh ("Counter _x{_stats, "key"};"); a DeviceStat registration
-# also has a per-device flick.<key>_dev<k> split and a TenantStat one a
-# per-tenant flick.<key>_cr3#<k> split, and the docs may name those forms.
+# continuation lines of a ternary key. Hot paths bump a handle registered
+# once in runtime.hh ("Counter _x{_stats, "key"};"); a DeviceStat
+# registration also has a per-device flick.<key>_dev<k> split and a
+# TenantStat one a per-tenant flick.<key>_cr3#<k> split, and the docs may
+# name those forms.
 site_literals() {
-    grep -hE "$1" "${@:2}" |
-        grep -oE '"[a-z][a-z_0-9.]*"( \+ std::to_string)?' | tr -d '"'
+    grep -hE "$1" "${@:2}" | grep -oE '"[a-z][a-z_0-9.]*"' | tr -d '"'
 }
 registered() {
     site_literals "^[[:space:]]*($1) _[A-Za-z0-9]+\{_stats, \"" \
@@ -66,13 +64,9 @@ registered() {
 engine_sites='_stats\.(inc|set|add)\(|^[[:space:]]*[?:] "'
 emitted=$(
     {
-        {
-            site_literals "$engine_sites" src/flick/runtime.cc
-            registered 'Counter|DeviceStat|TenantStat'
-        } | sed 's/^/flick./'
-        site_literals '_stats\.(inc|set)\(' src/mem/residency.hh |
-            sed 's/^/flick.residency./'
-    } | sed 's/ + std::to_string$/<k>/' | sort -u
+        site_literals "$engine_sites" src/flick/runtime.cc
+        registered 'Counter|DeviceStat|TenantStat'
+    } | sed 's/^/flick./' | sort -u
 )
 splits=$(
     {
@@ -91,7 +85,7 @@ for key in $emitted; do
 done
 for name in $documented; do
     grep -qxF "$name" <<<"$emitted"$'\n'"$splits" && continue
-    # A bare family prefix (flick.qos, flick.residency.*) stands for the
+    # A bare family prefix (flick.qos, flick.placement.*) stands for the
     # keys under it, so at least one emitted key must start with it.
     family=${name%\*}
     family=${family%.}

@@ -1,7 +1,6 @@
 #include "flick/runtime.hh"
 
 #include "loader/loader.hh"
-#include "mem/residency.hh"
 #include "policy/policy.hh"
 #include "sim/chaos.hh"
 #include "vm/page_table.hh"
@@ -68,31 +67,21 @@ struct EnginePlacementView final : PlacementView
     pageResidency(Addr cr3, VAddr va) const override
     {
         PageResidency pr;
-        if (!e._residency)
-            return pr;
         // Untimed walk (same as the NX-fault tag read): residency
         // queries are modeled as kernel metadata lookups and must not
         // perturb timing or stats.
         std::optional<DebugTranslation> t = e._ptm.translate(cr3, va);
         if (!t)
             return pr;
-        Addr pa = t->pa;
         const PlatformConfig &p = e._mem.platform();
         unsigned dev;
-        if (p.inHostDram(pa))
+        if (p.inHostDram(t->pa))
             pr.holder = -1;
-        else if (p.inBarDram(pa, dev))
+        else if (p.inBarDram(t->pa, dev))
             pr.holder = static_cast<int>(dev);
         else
             return pr; // control window / unmapped: no residency.
         pr.mapped = true;
-        std::uint64_t key =
-            e._mem.canonicalPageKey(Requester::debug, pa);
-        const std::vector<std::uint64_t> *row = e._residency->counts(key);
-        if (!row)
-            return pr;
-        pr.hostAccesses = (*row)[ResidencyTracker::hostAccessor];
-        pr.deviceAccesses.assign(row->begin() + 1, row->end());
         return pr;
     }
 

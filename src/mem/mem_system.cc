@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "mem/residency.hh"
 #include "sim/logging.hh"
 
 namespace flick
@@ -273,24 +272,6 @@ MemSystem::resolve(Requester r, Addr pa, std::uint64_t len) const
           (unsigned long long)len);
 }
 
-void
-MemSystem::touchResidency(Requester r, const Route &route)
-{
-    // Residency is about where computation touches data: count host-core
-    // and NxP-core accesses to DRAM, skip DMA staging, MMU table walks
-    // and the untimed debug back door, and skip control windows (they
-    // hold registers, not data).
-    if (route.kind == Route::Kind::ctrlDev)
-        return;
-    unsigned store =
-        route.kind == Route::Kind::hostDram ? 0 : 1 + route.device;
-    std::uint64_t key = pageKey(store, route.offset);
-    if (r == Requester::hostCore)
-        _residency->touch(key, ResidencyTracker::hostAccessor);
-    else if (isNxpRequester(r) && static_cast<unsigned>(r) % 2 == 0)
-        _residency->touch(key, 1 + nxpRequesterDevice(r));
-}
-
 MemSystem::Route
 MemSystem::route(Requester r, Addr pa, std::uint64_t len,
                  std::vector<StatGroup::Counter> &counters)
@@ -298,8 +279,6 @@ MemSystem::route(Requester r, Addr pa, std::uint64_t len,
     Route route = resolve(r, pa, len);
     if (r != Requester::debug)
         counters[route.stat].inc();
-    if (_residency)
-        touchResidency(r, route);
     return route;
 }
 

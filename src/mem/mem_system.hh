@@ -32,8 +32,6 @@
 namespace flick
 {
 
-class ResidencyTracker;
-
 /**
  * Who is issuing a memory access; selects address space and latency.
  *
@@ -201,20 +199,6 @@ class MemSystem
     /** Broadcast a mapping/protection change (mprotect, unmap). */
     void notifyMappingChange();
 
-    // --- Residency tracking (DESIGN.md §15) -----------------------------
-
-    /**
-     * Attach (or detach, with nullptr) a residency tracker. While
-     * attached, every timed core access (host core or an NxP core; not
-     * DMA, not MMU walks, not the debug back door) bumps the tracker's
-     * per-page counter for the accessing core. Counting is passive:
-     * latencies and event order are unchanged.
-     */
-    void setResidencyTracker(ResidencyTracker *tracker)
-    {
-        _residency = tracker;
-    }
-
   private:
     /** Fan a store write out to every sink, one call per touched page. */
     void notifyStoreWrite(unsigned store, Addr offset, std::uint64_t len);
@@ -231,8 +215,7 @@ class MemSystem
 
     Route resolve(Requester r, Addr pa, std::uint64_t len) const;
 
-    /** resolve(), plus the access's route counter (one of @p counters)
-     *  and residency touch. */
+    /** resolve(), plus the access's route counter (one of @p counters). */
     Route route(Requester r, Addr pa, std::uint64_t len,
                 std::vector<StatGroup::Counter> &counters);
 
@@ -271,16 +254,12 @@ class MemSystem
         return 2 + 4 * n + from * n + peer;
     }
 
-    /** Bump the residency counter for a resolved core access. */
-    void touchResidency(Requester r, const Route &route);
-
     const TimingConfig &_timing;
     PlatformConfig _platform;
     SparseMemory _hostDram;
     std::vector<std::unique_ptr<SparseMemory>> _nxpDrams;
     std::vector<MmioDevice *> _ctrl;
     std::vector<DecodeSink *> _decodeSinks;
-    ResidencyTracker *_residency = nullptr;
     StatGroup _stats;
     /** "<route>_reads" / "<route>_writes" per route index. */
     std::vector<StatGroup::Counter> _routeReads;

@@ -1,18 +1,13 @@
 /**
  * @file
- * Residency tracking and residency-aware placement (DESIGN.md §15).
+ * Residency-aware placement (DESIGN.md §15).
  *
  * The backbone invariants:
- *  - Tracking off (the default) is tick-for-tick identical to a run
- *    with tracking on, and its stats dump carries zero flick.residency.*
- *    lines: the counters are purely passive and the subsystem has no
- *    footprint when disabled.
- *  - Counters attribute timed core accesses to the right accessor
- *    (host core vs each NxP core); debug/DMA/walk traffic is excluded.
- *  - ResidencyAwarePlacement steers a call to the device holding its
- *    argument pages even before any access is counted (cold mapped
- *    pages vote by holder); a non-canonical argument is no pointer and
- *    casts no vote.
+ *  - ResidencyAwarePlacement steers a call to the DRAM its argument
+ *    pages' page-table entries name, with no option beyond the policy
+ *    itself: a device-resident page goes to that device, a host-resident
+ *    page to the function's host twin. A non-canonical argument is no
+ *    pointer and casts no vote.
  *  - A placement hint is the submitter's decision: a call that waits in
  *    the QoS queue runs where its hint says, as it would have had it
  *    been admitted at once.
@@ -25,10 +20,6 @@
  */
 
 #include <gtest/gtest.h>
-
-#include <sstream>
-#include <string>
-#include <vector>
 
 #include "flick/system.hh"
 #include "workloads/placement_mix.hh"
@@ -62,102 +53,13 @@ fillShard(FlickSystem &sys, Process &proc, VAddr va, unsigned s,
         sys.writeVa(proc, va + 8 * i, shardWord(s, i));
 }
 
-/** Canonical page key of @p va's current frame (host PA space). */
-std::uint64_t
-keyOf(FlickSystem &sys, const Process &proc, VAddr va)
-{
-    auto tr = sys.debug().pageTables().translate(proc.image.cr3, va);
-    EXPECT_TRUE(tr.has_value());
-    return sys.debug().mem().canonicalPageKey(Requester::debug,
-                                              tr->pa & ~Addr(4095));
-}
-
-/** One deterministic call sequence used by the tick-identity test. */
-std::vector<std::uint64_t>
-identityScenario(FlickSystem &sys, Process &proc)
-{
-    VAddr buf = sys.hostMalloc(proc, 64 * 8, 4096);
-    fillShard(sys, proc, buf, 3, 64);
-    std::vector<std::uint64_t> vals;
-    vals.push_back(sys.call(proc, "shard_sum", {buf, 64}));
-    vals.push_back(sys.call(proc, "shard_sum__host", {buf, 64}));
-    vals.push_back(sys.call(proc, "shard_sum", {buf, 32}));
-    return vals;
-}
-
-TEST(Residency, TrackingOffIsTickIdenticalAndSilent)
-{
-    auto [off, poff] = makeSharded(SystemConfig{});
-    auto [on, pon] = makeSharded(SystemConfig{}.withResidencyTracking());
-
-    EXPECT_EQ(off->debug().residency(), nullptr);
-    ASSERT_NE(on->debug().residency(), nullptr);
-
-    std::vector<std::uint64_t> voff = identityScenario(*off, *poff);
-    std::vector<std::uint64_t> von = identityScenario(*on, *pon);
-    EXPECT_EQ(voff, von);
-    EXPECT_EQ(voff[0], shardSumRef(3, 0, 64));
-
-    // Passive counters: identical final tick, and tracking recorded
-    // accesses without perturbing anything.
-    EXPECT_EQ(off->now(), on->now());
-    EXPECT_GT(on->debug().residency()->pagesTracked(), 0u);
-
-    std::ostringstream doff, don;
-    off->dumpStats(doff);
-    on->dumpStats(don);
-    EXPECT_EQ(doff.str().find("flick.residency."), std::string::npos);
-    EXPECT_NE(don.str().find("flick.residency.accesses"),
-              std::string::npos);
-    EXPECT_NE(don.str().find("flick.residency.pages_tracked"),
-              std::string::npos);
-
-    delete off;
-    delete on;
-}
-
-TEST(Residency, CountersAttributeAccessesByCore)
-{
-    auto [sys, proc] = makeSharded(SystemConfig{}.withResidencyTracking());
-    ResidencyTracker *t = sys->debug().residency();
-    ASSERT_NE(t, nullptr);
-
-    VAddr buf = sys->hostMalloc(*proc, 64 * 8, 4096);
-    fillShard(*sys, *proc, buf, 1, 64);
-    std::uint64_t key = keyOf(*sys, *proc, buf);
-
-    // The debug back door (the fill above) must not count.
-    EXPECT_EQ(t->counts(key), nullptr);
-
-    // Host-ISA twin: every word read lands on the host accessor.
-    EXPECT_EQ(sys->call(*proc, "shard_sum__host", {buf, 64}),
-              shardSumRef(1, 0, 64));
-    EXPECT_GE(t->accesses(key, ResidencyTracker::hostAccessor), 64u);
-    EXPECT_EQ(t->accesses(key, 1), 0u);
-
-    // Device-homed call (static placement): device 0's accessor.
-    EXPECT_EQ(sys->call(*proc, "shard_sum", {buf, 64}),
-              shardSumRef(1, 0, 64));
-    EXPECT_GE(t->accesses(key, 1), 64u);
-
-    t->syncStats();
-    EXPECT_GE(t->stats().get("accesses_host"), 64u);
-    EXPECT_GE(t->stats().get("accesses_dev0"), 64u);
-    EXPECT_EQ(t->stats().get("accesses"),
-              t->total(0) + t->total(1));
-    delete sys;
-}
-
 TEST(Residency, ColdPagesSteerResidencyAwarePlacement)
 {
-    auto [sys, proc] =
-        makeSharded(SystemConfig{}
-                        .withResidencyTracking()
-                        .withPlacement(PlacementKind::residencyAware),
-                    2);
+    auto [sys, proc] = makeSharded(
+        SystemConfig{}.withPlacement(PlacementKind::residencyAware), 2);
 
-    // The shard lives in device 1's DRAM; nothing has touched it yet,
-    // so only the holder vote of the cold mapped pages can steer.
+    // The shard lives in device 1's DRAM and nothing has touched it
+    // yet: its page-table entry alone steers the call there.
     VAddr buf = sys->nxpMalloc(64 * 8, 4096, 1);
     fillShard(*sys, *proc, buf, 7, 64);
 
@@ -170,6 +72,25 @@ TEST(Residency, ColdPagesSteerResidencyAwarePlacement)
     delete sys;
 }
 
+TEST(Residency, HostResidentPagesSteerToTheHostTwin)
+{
+    auto [sys, proc] = makeSharded(
+        SystemConfig{}.withPlacement(PlacementKind::residencyAware));
+
+    // The shard lives in host DRAM and shard_sum has a host twin: the
+    // call runs there instead of crossing, so every word stays local.
+    VAddr buf = sys->hostMalloc(*proc, 64 * 8, 4096);
+    fillShard(*sys, *proc, buf, 5, 64);
+
+    EXPECT_EQ(sys->call(*proc, "shard_sum", {buf, 64}),
+              shardSumRef(5, 0, 64));
+
+    const StatGroup &es = sys->debug().engine().stats();
+    EXPECT_EQ(es.get("placement.host_steered"), 1u);
+    EXPECT_EQ(es.get("host_to_nxp_calls"), 0u);
+    delete sys;
+}
+
 TEST(Residency, NonCanonicalArgumentCastsNoVote)
 {
     // Bits 48..63 of a non-canonical value do not sign-extend bit 47, so
@@ -178,7 +99,6 @@ TEST(Residency, NonCanonicalArgumentCastsNoVote)
     // cast, placement falls back to queue depth and the idle home wins.
     FlickSystem sys(SystemConfig{}
                         .withDevices(2)
-                        .withResidencyTracking()
                         .withPlacement(PlacementKind::residencyAware));
     Program prog;
     workloads::addPlacementMix(prog, 2);
@@ -204,8 +124,7 @@ TEST(Residency, QueuedQosCallKeepsItsPlacementHint)
         QosConfig qos;
         qos.enabled = true;
         qos.tenantInFlight = 1;
-        auto [sys, proc] = makeSharded(
-            SystemConfig{}.withQos(qos).withResidencyTracking(), 3);
+        auto [sys, proc] = makeSharded(SystemConfig{}.withQos(qos), 3);
 
         VAddr big = sys->nxpMalloc(2048 * 8, 4096, 1);
         fillShard(*sys, *proc, big, 8, 2048);
