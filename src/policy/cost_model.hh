@@ -27,6 +27,7 @@
 #include <utility>
 
 #include "mem/sparse_memory.hh"
+#include "policy/policy.hh"
 #include "sim/ticks.hh"
 #include "vm/pte.hh"
 
@@ -39,25 +40,20 @@ namespace flick
 class CallCostModel
 {
   public:
-    explicit CallCostModel(unsigned ewma_shift = 3)
-        : _shift(ewma_shift)
-    {
-    }
-
     /**
-     * The shared EWMA step: avg += (sample - avg) / 2^shift, in signed
-     * integer arithmetic so the estimate converges from either side.
-     * A zero @p avg (never seen) adopts the sample outright.
+     * The shared EWMA step: avg += (sample - avg) / 2^ewmaShift, in
+     * signed integer arithmetic so the estimate converges from either
+     * side. A zero @p avg (never seen) adopts the sample outright.
      */
     static Tick
-    blend(Tick avg, Tick sample, unsigned shift)
+    blend(Tick avg, Tick sample)
     {
         if (avg == 0)
             return sample;
         std::int64_t delta = static_cast<std::int64_t>(sample) -
                              static_cast<std::int64_t>(avg);
         return static_cast<Tick>(static_cast<std::int64_t>(avg) +
-                                 (delta >> shift));
+                                 (delta >> placement_tuning::ewmaShift));
     }
 
     /** Fold one measured latency for (cr3, va) into the model. */
@@ -65,7 +61,7 @@ class CallCostModel
     record(Addr cr3, VAddr va, Tick latency)
     {
         Entry &e = _model[{cr3, va}];
-        e.ewma = blend(e.ewma, latency, _shift);
+        e.ewma = blend(e.ewma, latency);
         ++e.samples;
     }
 
@@ -88,9 +84,6 @@ class CallCostModel
     /** Number of (cr3, va) pairs with learned state. */
     std::size_t size() const { return _model.size(); }
 
-    /** The configured EWMA shift (alpha = 1 / 2^shift). */
-    unsigned ewmaShift() const { return _shift; }
-
   private:
     struct Entry
     {
@@ -98,7 +91,6 @@ class CallCostModel
         std::uint64_t samples = 0;
     };
 
-    unsigned _shift;
     //! std::map for deterministic iteration in tests and tools.
     std::map<std::pair<Addr, VAddr>, Entry> _model;
 };

@@ -25,7 +25,7 @@ placementKindName(PlacementKind kind)
 }
 
 std::shared_ptr<PlacementPolicy>
-makePlacementPolicy(PlacementKind kind, const PlacementConfig &config)
+makePlacementPolicy(PlacementKind kind)
 {
     switch (kind) {
       case PlacementKind::staticPlacement:
@@ -33,9 +33,9 @@ makePlacementPolicy(PlacementKind kind, const PlacementConfig &config)
       case PlacementKind::leastLoaded:
         return std::make_shared<LeastLoadedPlacement>();
       case PlacementKind::profileGuided:
-        return std::make_shared<ProfileGuidedPlacement>(config);
+        return std::make_shared<ProfileGuidedPlacement>();
       case PlacementKind::residencyAware:
-        return std::make_shared<ResidencyAwarePlacement>(config);
+        return std::make_shared<ResidencyAwarePlacement>();
     }
     panic("unknown placement kind");
 }

@@ -32,7 +32,7 @@ ProfileGuidedPlacement::place(const PlacementQuery &query,
     if (it == _model.end())
         return {false, device};
     FnProfile &m = it->second;
-    if (m.deviceSamples < _cfg.minDeviceSamples)
+    if (m.deviceSamples < placement_tuning::minDeviceSamples)
         return {false, device};
 
     Tick device_cost = m.deviceEwma;
@@ -53,15 +53,15 @@ ProfileGuidedPlacement::place(const PlacementQuery &query,
         host_cost = view.steerOverhead() + exec / speedup;
     }
 
-    // Hysteresis: the host must win by the configured margin.
-    if (host_cost + host_cost * _cfg.steerMarginPct / 100 >= device_cost)
+    // Hysteresis: the host must win by the steering margin.
+    if (host_cost + host_cost * placement_tuning::steerMarginPct / 100 >=
+        device_cost)
         return {false, device};
 
     // Steered — but every reprobeInterval-th decision still crosses so
     // the device-side EWMA stays fresh.
     ++m.steeredDecisions;
-    if (_cfg.reprobeInterval &&
-        m.steeredDecisions % _cfg.reprobeInterval == 0)
+    if (m.steeredDecisions % placement_tuning::reprobeInterval == 0)
         return {false, device};
     return {true, device};
 }
@@ -74,8 +74,7 @@ ProfileGuidedPlacement::recordDeviceCall(Addr cr3, VAddr canonical,
     FnProfile &m = _model[{cr3, canonical}];
     m.deviceEwma = m.deviceSamples == 0
                        ? latency
-                       : CallCostModel::blend(m.deviceEwma, latency,
-                                              _cfg.ewmaShift);
+                       : CallCostModel::blend(m.deviceEwma, latency);
     ++m.deviceSamples;
 }
 
@@ -86,8 +85,7 @@ ProfileGuidedPlacement::recordHostCall(Addr cr3, VAddr canonical,
     FnProfile &m = _model[{cr3, canonical}];
     m.hostEwma = m.hostSamples == 0
                      ? latency
-                     : CallCostModel::blend(m.hostEwma, latency,
-                                            _cfg.ewmaShift);
+                     : CallCostModel::blend(m.hostEwma, latency);
     ++m.hostSamples;
 }
 

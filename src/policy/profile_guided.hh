@@ -28,11 +28,6 @@ namespace flick
 class ProfileGuidedPlacement final : public PlacementPolicy
 {
   public:
-    explicit ProfileGuidedPlacement(const PlacementConfig &config)
-        : _cfg(config)
-    {
-    }
-
     /** The learned state for one function (exposed for tests/tools). */
     struct FnProfile
     {
@@ -71,7 +66,6 @@ class ProfileGuidedPlacement final : public PlacementPolicy
     std::size_t modelSize() const { return _model.size(); }
 
   private:
-    PlacementConfig _cfg;
     //! Keyed (cr3, canonical VA); std::map for deterministic iteration.
     std::map<std::pair<Addr, VAddr>, FnProfile> _model;
 };

@@ -268,18 +268,16 @@ TEST(PlacementProfileGuided, SteersTinyCallsToTheHostTwin)
 
 TEST(PlacementProfileGuided, ReprobesTheDevicePeriodically)
 {
-    PlacementConfig pc;
-    pc.reprobeInterval = 8;
     auto [sys, proc] = makeMixSystem(
-        SystemConfig{}
-            .withPlacement(PlacementKind::profileGuided)
-            .withPlacementConfig(pc));
-    for (std::uint64_t i = 0; i < 33; ++i)
+        SystemConfig{}.withPlacement(PlacementKind::profileGuided));
+    // The seed probe, then 2 * reprobeInterval steering decisions: the
+    // 64th and the 128th cross again to refresh the device estimate.
+    constexpr std::uint64_t calls = 1 + 2 * placement_tuning::reprobeInterval;
+    for (std::uint64_t i = 0; i < calls; ++i)
         EXPECT_EQ(sys->call(*proc, "mix_tiny", {i, 1}), i + 1);
     const StatGroup &st = sys->debug().engine().stats();
-    // 1 seed probe + every 8th steering decision crossing again.
-    EXPECT_GT(st.get("host_to_nxp_calls"), 1u);
-    EXPECT_GT(st.get("placement.host_steered"), 24u);
+    EXPECT_EQ(st.get("host_to_nxp_calls"), 3u);
+    EXPECT_EQ(st.get("placement.host_steered"), calls - 3);
     delete sys;
 }
 
