@@ -55,12 +55,6 @@ struct TimingConfig
     std::uint32_t nxpIcacheLineBytes = 64;
     /** NxP instruction cache: number of lines (direct mapped). */
     std::uint32_t nxpIcacheLines = 256;
-    /**
-     * Whether the NxP data cache is enabled for non-coherent (local)
-     * regions. PCIe offers no coherence, so it is never enabled for host
-     * memory (Section IV-A).
-     */
-    bool nxpDcacheLocalEnable = false;
 
     // --- Address translation ------------------------------------------
     /** Host TLB entries (modelled as one level, fully associative). */
